@@ -18,12 +18,14 @@ from .distributions import (
     GaussianModel,
     IntDistribution,
     amp_char_fn,
+    amp_char_grid,
     char_fn,
     convolve,
     gaussian_pmf,
     l1_distance,
     moments,
     power_convolve,
+    power_support_bound,
 )
 from .errors import (
     CombinatorialBlowupError,
@@ -63,6 +65,7 @@ from .u1 import (
     figure_of_merit_quadrature,
     posterior_density_exact,
     posterior_density_gauss,
+    posterior_density_grid,
     posterior_gauss_distance,
     rate_analysis,
     sample_gamma,

@@ -545,8 +545,12 @@ def _compute_row(config: SweepConfig, key: tuple) -> dict:
     except (ResourceCapError, CombinatorialBlowupError) as exc:
         row["error"] = str(exc)
         row["_cap"] = True
-    except (PhaseconvError, ValueError, OverflowError) as exc:
-        row["error"] = str(exc)
+    # RuntimeError is what the dense oracle's multiplicativity guard raises
+    except (
+        PhaseconvError, ValueError, OverflowError, FloatingPointError, RuntimeError, MemoryError
+    ) as exc:
+        # a bare MemoryError has no message; an empty cell would read as success
+        row["error"] = str(exc) or type(exc).__name__
     return row
 
 

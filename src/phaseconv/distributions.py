@@ -183,6 +183,18 @@ def power_convolve(
     return IntDistribution(acc_off, acc / total)
 
 
+def power_support_bound(p: IntDistribution, n_copies: int) -> int:
+    """Upper bound on ``len(power_convolve(p, n_copies))`` at the default trim threshold.
+
+    Hoeffding's inequality puts mass at most 2 exp(-2 t^2 / (N span^2)) at
+    distance t or more from the mean, so every point whose mass exceeds
+    `TRIM_THRESHOLD` lies within span * sqrt(N ln(2 / TRIM_THRESHOLD) / 2) of
+    it.  Never larger than the untrimmed support N * span + 1.
+    """
+    width = p.span * math.sqrt(2.0 * n_copies * math.log(2.0 / TRIM_THRESHOLD))
+    return min(n_copies * p.span, math.floor(width)) + 1
+
+
 def moments(p: IntDistribution) -> tuple[float, float]:
     """Mean and central second moment of the PMF."""
     n = p.support
@@ -265,3 +277,25 @@ def char_fn(p: IntDistribution, gamma):
 def amp_char_fn(p: IntDistribution, gamma):
     """Amplitude-weighted phase sum Sum_n sqrt(p_n) exp(i n gamma)."""
     return _phase_sum(np.sqrt(p.probs), p.support, gamma)
+
+
+def amp_char_grid(p: IntDistribution, grid_points: int, *, midpoint: bool) -> np.ndarray:
+    """`amp_char_fn` on the uniform grid gamma_j = -pi + 2 pi (j + s) / G, j = 0 .. G-1.
+
+    ``s`` is 1/2 with ``midpoint`` (cell midpoints) and 0 without (cell
+    edges).  Writing exp(i n gamma_j) = exp(i n theta0) exp(2 pi i n j / G)
+    with theta0 = pi (2 s - G) / G, folding the phased amplitudes onto n mod G
+    and taking one inverse FFT evaluates the trigonometric polynomial exactly
+    at every grid point, for any G, including G below the support length.
+    The phases n * theta0 are reduced as integers modulo 2 pi (n mod 2G), so
+    they stay exact at large n.
+    """
+    g = int(grid_points)
+    if g < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    n = p.support
+    residue = (n % (2 * g)) * ((int(midpoint) - g) % (2 * g)) % (2 * g)
+    phased = np.sqrt(p.probs) * np.exp(1j * (math.pi / g) * residue)
+    fold = n % g
+    folded = np.bincount(fold, phased.real, g) + 1j * np.bincount(fold, phased.imag, g)
+    return np.fft.ifft(folded, norm="forward")

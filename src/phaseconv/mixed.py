@@ -21,9 +21,14 @@ from functools import reduce
 
 import numpy as np
 
-from .distributions import IntDistribution, char_fn, convolve, power_convolve
 from .errors import CombinatorialBlowupError, ResourceCapError
-from .u1 import TWO_PI, NumberState, PosteriorSpec, posterior_density_exact
+from .u1 import (
+    TWO_PI,
+    NumberState,
+    PosteriorSpec,
+    fidelity_pure_exact,
+    posterior_density_grid,
+)
 
 DEFAULT_CLASS_CAP = 10**6
 DEFAULT_DIM_CAP = 4096
@@ -199,20 +204,20 @@ def class_fidelity_gauss(cls_: TypeClass, m_copies: int, gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def class_number_distribution(target: MixedTarget, cls_: TypeClass) -> IntDistribution:
-    """Number distribution of the class component: convolution of k_j-fold powers."""
-    parts = [
-        power_convolve(comp.spectrum, k)
-        for comp, k in zip(target.components, cls_.counts)
-        if k > 0
-    ]
-    return reduce(convolve, parts)
+def _class_product(component_fids: list, counts: tuple[int, ...]):
+    """prod_j F_j^(k_j) from the single-copy component fidelities F_j."""
+    return math.prod(f**k for f, k in zip(component_fids, counts) if k > 0)
 
 
 def class_fidelity_exact(target: MixedTarget, cls_: TypeClass, gamma):
-    """Exact class fidelity |sum_n Q_n e^{i n gamma}|^2 from the class distribution."""
-    ch = char_fn(class_number_distribution(target, cls_), gamma)
-    return (ch.real**2 + ch.imag**2) if isinstance(ch, np.ndarray) else abs(ch) ** 2
+    """Exact class fidelity |sum_n Q_n e^{i n gamma}|^2 of the class number distribution Q.
+
+    Q is the convolution of the k_j-fold powers of the component spectra, so
+    its characteristic function is prod_j phi_j^(k_j) and the fidelity is
+    prod_j |phi_j(gamma)|^(2 k_j); no convolution is built.
+    """
+    component_fids = [fidelity_pure_exact(c, 1, gamma) for c in target.components]
+    return _class_product(component_fids, cls_.counts)
 
 
 def fidelity_mixed_lower_bound(
@@ -232,17 +237,22 @@ def fidelity_mixed_lower_bound(
     in), "exact" for the trigonometric class fidelity.  Pass a precomputed
     ``decomposition`` to amortize enumeration across many gamma batches.
     """
+    if method not in ("gauss", "exact"):
+        raise ValueError(f"method must be 'gauss' or 'exact', got {method!r}")
     dec = decomposition or typical_decomposition(
         target, m_copies, epsilon, class_cap=class_cap
     )
     if method == "gauss":
-        fids = [class_fidelity_gauss(c, m_copies, gamma) for c in dec.classes]
-    elif method == "exact":
-        fids = [class_fidelity_exact(target, c, gamma) for c in dec.classes]
+        # exp(-M s^2 gamma^2) decreases as s^2 grows: the widest class is the minimum
+        widest = max(dec.classes, key=lambda c: c.sigma_sq)
+        floor = class_fidelity_gauss(widest, m_copies, gamma)
     else:
-        raise ValueError(f"method must be 'gauss' or 'exact', got {method!r}")
-    floor = np.minimum.reduce([np.asarray(f, dtype=np.float64) for f in fids])
-    out = (1.0 - dec.residual_mass) * floor
+        component_fids = [fidelity_pure_exact(c, 1, gamma) for c in target.components]
+        floor = None
+        for c in dec.classes:
+            fid = _class_product(component_fids, c.counts)
+            floor = fid if floor is None else np.minimum(floor, fid)
+    out = (1.0 - dec.residual_mass) * np.asarray(floor, dtype=np.float64)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -280,7 +290,7 @@ def figure_of_merit_mixed_bound(
     bound = fidelity_mixed_lower_bound(
         target, m_copies, gamma, method=method, decomposition=dec
     )
-    density = posterior_density_exact(spec, gamma)
+    density = posterior_density_grid(spec, points, midpoint=True)
     value = float(density @ bound) * TWO_PI / points
     return MixedBoundResult(value, dec, points, method)
 

@@ -25,9 +25,11 @@ from .distributions import (
     GaussianModel,
     IntDistribution,
     amp_char_fn,
+    amp_char_grid,
     char_fn,
     moments,
     power_convolve,
+    power_support_bound,
 )
 from .errors import (
     GappedSpectrumError,
@@ -38,7 +40,7 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-# Guard against convolution powers whose (untrimmed) support would not fit a
+# Guard against convolution powers whose trimmed support would not fit a
 # sane FFT; sweeps may lower it, nothing at desk scale should need to raise it.
 DEFAULT_FFT_CAP = 1 << 23
 
@@ -118,10 +120,22 @@ def posterior_density_exact(spec: PosteriorSpec, gamma):
 
     This is the Born probability of the covariant measurement seeded by the
     uniform-amplitude vector: |Sum_n sqrt(P_n) e^{i n gamma}|^2 / (2 pi).
-    It integrates to exactly 1 over (-pi, pi].
+    It integrates to exactly 1 over (-pi, pi].  Evaluated by a dense phase
+    sum at arbitrary angles; it is the oracle `posterior_density_grid` is
+    checked against.
     """
     amp = amp_char_fn(spec.ncopy_spectrum, gamma)
     return (amp.real**2 + amp.imag**2) / TWO_PI if isinstance(amp, np.ndarray) else abs(amp) ** 2 / TWO_PI
+
+
+def posterior_density_grid(spec: PosteriorSpec, grid_points: int, *, midpoint: bool) -> np.ndarray:
+    """`posterior_density_exact` on the uniform grid -pi + 2 pi (j + s) / G, j = 0 .. G-1.
+
+    ``s`` is 1/2 with ``midpoint`` and 0 without; one FFT of the folded
+    amplitudes (`amp_char_grid`) replaces the dense phase sum.
+    """
+    amp = amp_char_grid(spec.ncopy_spectrum, grid_points, midpoint=midpoint)
+    return (amp.real**2 + amp.imag**2) / TWO_PI
 
 
 def posterior_density_gauss(spec: PosteriorSpec, gamma):
@@ -136,7 +150,9 @@ def posterior_density_gauss(spec: PosteriorSpec, gamma):
 
 def _exact_cdf_grid(spec: PosteriorSpec, grid_points: int):
     edges = np.linspace(-math.pi, math.pi, grid_points + 1)
-    density = posterior_density_exact(spec, edges)
+    density = posterior_density_grid(spec, grid_points, midpoint=False)
+    # the density is 2 pi-periodic: the edge at +pi repeats the one at -pi
+    density = np.append(density, density[0])
     # trapezoid CDF on the edge grid; the density is smooth and periodic
     cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(edges))))
     cdf /= cdf[-1]
@@ -175,9 +191,18 @@ def sample_gamma(
 
 
 def fidelity_pure_exact(target: NumberState, m_copies: int, gamma):
-    """Exact M-copy overlap fidelity |Sum_n Q_n e^{i n gamma}|^2 at misalignment gamma."""
-    ch = char_fn(power_convolve(target.spectrum, m_copies), gamma)
-    return (ch.real**2 + ch.imag**2) if isinstance(ch, np.ndarray) else abs(ch) ** 2
+    """Exact M-copy overlap fidelity |Sum_n Q_n e^{i n gamma}|^2 at misalignment gamma.
+
+    The M-copy characteristic function is the single-copy one to the M-th
+    power, so the fidelity is |phi_Q(gamma)|^(2M) and no convolution power is
+    built.
+    """
+    if m_copies < 1:
+        raise ValueError(f"m_copies must be >= 1, got {m_copies}")
+    ch = char_fn(target.spectrum, gamma)
+    if isinstance(ch, np.ndarray):
+        return (ch.real**2 + ch.imag**2) ** m_copies
+    return (abs(ch) ** 2) ** m_copies
 
 
 def fidelity_pure_gauss(sigma_sq: float, m_copies: int, gamma):
@@ -270,8 +295,7 @@ def figure_of_merit_mc(
         raise ValueError(f"draws must be >= 100, got {draws}")
     spec = PosteriorSpec.for_copies(source, n_copies)
     gamma = sample_gamma(spec, rng_seed, mode=mode, size=draws)
-    ch = char_fn(power_convolve(target.spectrum, m_copies), gamma)
-    values = ch.real**2 + ch.imag**2
+    values = fidelity_pure_exact(target, m_copies, gamma)
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(draws))
     return estimate, stderr
@@ -285,7 +309,8 @@ def posterior_gauss_distance(spec: PosteriorSpec, grid_points: int = 8192) -> fl
     principal interval is negligible at the N where the model is meaningful.
     """
     gamma = -math.pi + TWO_PI * (np.arange(grid_points) + 0.5) / grid_points
-    diff = np.abs(posterior_density_exact(spec, gamma) - posterior_density_gauss(spec, gamma))
+    exact = posterior_density_grid(spec, grid_points, midpoint=True)
+    diff = np.abs(exact - posterior_density_gauss(spec, gamma))
     return float(0.5 * diff.sum() * TWO_PI / grid_points)
 
 
@@ -343,8 +368,11 @@ class RateReport:
 def ensure_fft_cap(
     source: NumberState, n_copies: int, target: NumberState, m_copies: int, cap: int
 ) -> None:
-    """Refuse convolution powers whose untrimmed support would exceed ``cap`` points."""
-    worst = max(n_copies * source.spectrum.span, m_copies * target.spectrum.span) + 1
+    """Refuse convolution powers whose trimmed support could exceed ``cap`` points."""
+    worst = max(
+        power_support_bound(source.spectrum, n_copies),
+        power_support_bound(target.spectrum, m_copies),
+    )
     if worst > cap:
         raise ResourceCapError(
             f"support estimate {worst} exceeds fft_cap {cap} at N={n_copies}, M={m_copies}"
@@ -364,8 +392,8 @@ def rate_analysis(
 
     Flags "converges" when the exact value increases strictly along the grid
     and its terminal value exceeds ``threshold``, "plateaus" otherwise.
-    Raises `ResourceCapError` when an (untrimmed) convolution power would
-    exceed ``fft_cap`` support points.
+    Raises `ResourceCapError` when a trimmed convolution power could exceed
+    ``fft_cap`` support points.
     """
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):

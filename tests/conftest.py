@@ -1,8 +1,10 @@
 """Shared helpers: random instances and slow independent oracles."""
+from functools import reduce
+
 import numpy as np
 
 from phaseconv import IntDistribution, MixedTarget, NumberState, standardize
-from phaseconv.distributions import convolve
+from phaseconv.distributions import convolve, power_convolve
 
 
 def random_spectrum(rng, max_len: int = 6, max_offset: int = 3) -> IntDistribution:
@@ -43,6 +45,20 @@ def direct_power(p: IntDistribution, n: int) -> IntDistribution:
     for _ in range(n - 1):
         out = convolve(out, p)
     return out
+
+
+def class_number_distribution(target: MixedTarget, counts) -> IntDistribution:
+    """Oracle: number distribution of a type class, as a convolution of k_j-fold powers.
+
+    The library gets class fidelities from products of single-copy
+    characteristic functions instead; this builds the distribution itself.
+    """
+    parts = [
+        power_convolve(comp.spectrum, int(k))
+        for comp, k in zip(target.components, counts)
+        if k > 0
+    ]
+    return reduce(convolve, parts)
 
 
 def ks_uniform(draws: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine numbered criteria, one printed verdict line each.
+"""Acceptance gate: ten numbered criteria, one printed verdict line each.
 
 Each criterion prints ``[C<k>] PASS/FAIL: <measured values>`` before asserting,
 so the verdict and the numbers behind it land in the test log either way.
@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_density, random_mixture, random_state
+from conftest import direct_power, random_density, random_mixture, random_state
 from phaseconv import (
     CyclicCoeffs,
     CyclicState,
@@ -29,12 +29,14 @@ from phaseconv import (
     figure_of_merit_mc,
     figure_of_merit_quadrature,
     measure_eta_basis,
+    posterior_density_exact,
     posterior_gauss_distance,
     standardize,
     success_slope_fit,
     typical_decomposition,
     uhlmann_fidelity,
 )
+from phaseconv.distributions import amp_char_fn
 
 FAIR = standardize(IntDistribution(0, np.array([0.5, 0.5])))
 FAIR1 = standardize(IntDistribution(1, np.array([0.5, 0.5])))
@@ -109,7 +111,8 @@ def test_c4_posterior_gaussian_model_quality():
         ok,
         f"tv = {[f'{t:.6g}' for t in tvs]}, decreasing = {decreasing}; "
         f"ratios = {[f'{r:.3f}' for r in ratios]}, required window [1.4, 3.0] "
-        "(fair bit is symmetric, so the odd-order term cancels and the ratio sits at 4)",
+        "(the 1/sqrt(N) term cancels for every source, symmetric or not, so the "
+        "distance falls as 1/N and the ratio sits near 4; C10 pins that rate)",
     )
 
 
@@ -220,4 +223,43 @@ def test_c9_cross_method_consistency():
     ok = worst_z <= 3.0 and worst_quad <= 1e-8
     assert report(
         "C9", ok, f"max |mc - exact|/stderr = {worst_z:.3f}; max quadrature dev = {worst_quad:.2e}"
+    )
+
+
+def test_c10_posterior_distance_one_over_n():
+    # The skew correction to the amplitudes sqrt(P_n) is odd about the mean, so
+    # its Fourier transform is in quadrature with the leading Gaussian term and
+    # drops out of |amplitude|^2: the distance falls as 1/N for skewed sources too.
+    sources = {"fair": [0.5, 0.5], "[0.9, 0.1]": [0.9, 0.1], "[0.2, 0.5, 0.3]": [0.2, 0.5, 0.3]}
+    grid_points = 8192
+    gamma = -math.pi + 2 * math.pi * (np.arange(grid_points) + 0.5) / grid_points
+    ratios, worst_same, worst_direct = {}, 0.0, 0.0
+    for label, probs in sources.items():
+        state = standardize(IntDistribution(0, np.array(probs)))
+        specs = [PosteriorSpec.for_copies(state, n) for n in (256, 1024, 4096)]
+        tvs = [posterior_gauss_distance(spec, grid_points) for spec in specs]
+        ratios[label] = [a / b for a, b in zip(tvs, tvs[1:])]
+
+        # dense-phase-sum oracle at N=256, on the same spectrum and on an
+        # untrimmed direct-convolution spectrum
+        variance = 256 * state.variance
+        gauss = math.sqrt(2 * variance / math.pi) * np.exp(-2 * variance * gamma**2)
+        dense = posterior_density_exact(specs[0], gamma)
+        amp = amp_char_fn(direct_power(state.spectrum, 256), gamma)
+        direct = (amp.real**2 + amp.imag**2) / (2 * math.pi)
+        tv_dense, tv_direct = (
+            0.5 * np.abs(d - gauss).sum() * 2 * math.pi / grid_points for d in (dense, direct)
+        )
+        worst_same = max(worst_same, abs(tvs[0] - tv_dense) / tv_dense)
+        worst_direct = max(worst_direct, abs(tvs[0] - tv_direct))
+
+    in_window = all(3.6 <= r <= 4.4 for rs in ratios.values() for r in rs)
+    # trimming N-copy masses below 1e-15 moves the distance by about 2e-9 at N=256
+    ok = in_window and worst_same <= 1e-12 and worst_direct <= 1e-8
+    shown = {label: [f"{r:.3f}" for r in rs] for label, rs in ratios.items()}
+    assert report(
+        "C10",
+        ok,
+        f"tv ratios over N = 256 -> 1024 -> 4096: {shown}, required window [3.6, 4.4]; "
+        f"N=256 vs dense phase sum: rel {worst_same:.2e}, vs direct convolution: abs {worst_direct:.2e}",
     )

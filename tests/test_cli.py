@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from phaseconv import ConfigValidationError
+from phaseconv import ConfigValidationError, cli
 from phaseconv.cli import (
     SweepResult,
     emit,
@@ -218,7 +218,7 @@ class TestRunSweep:
         assert exit_code_for(result.rows) == 2
 
     def test_resource_cap_flagged(self):
-        payload = {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 128}
+        payload = {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 100}
         result = run_sweep(cfg("u1-fom", payload))
         assert result.rows[0]["error"] is None
         assert "fft_cap" in result.rows[1]["error"]
@@ -301,13 +301,36 @@ class TestMain:
         err = capsys.readouterr().err
         assert "source: missing" in err
 
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            RuntimeError("multiplicativity violated: F_M=0.5 vs F_1^M=0.4"),
+            FloatingPointError("overflow encountered in exp"),
+            MemoryError(),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_unexpected_row_errors_contained(self, tmp_path, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "exact_mixed_fidelity_small", fail)
+        payload = {"target": MIXED_TARGET, "m_grid": [1, 2], "gamma_grid": [0.3]}
+        out = tmp_path / "rows.csv"
+        args = ["mixed-oracle", "--config", self.write(tmp_path, payload), "--out", str(out)]
+        assert main(args + ["--jobs", "1"]) == 2
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3
+        assert all(line.endswith(str(exc) or type(exc).__name__) for line in lines[1:])
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["u1-fom", "--config", str(tmp_path / "nope.json")]) == 1
 
     def test_partial_failure_exit_codes(self, tmp_path, capsys):
         degenerate = {**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}}
         assert main(["u1-fom", "--config", self.write(tmp_path, degenerate)]) == 2
-        capped = {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 128}
+        capped = {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 100}
         assert main(["u1-fom", "--config", self.write(tmp_path, capped)]) == 3
         # partial results still land on stdout alongside the failures
         out = capsys.readouterr().out

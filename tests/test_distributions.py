@@ -16,6 +16,7 @@ from phaseconv.distributions import (
     l1_distance,
     moments,
     power_convolve,
+    power_support_bound,
 )
 
 FAIR = IntDistribution(0, np.array([0.5, 0.5]))
@@ -126,6 +127,17 @@ class TestPowerConvolve:
         with pytest.raises(ValueError):
             power_convolve(FAIR, 0)
 
+
+    @pytest.mark.filterwarnings("ignore:power_convolve mass drift")
+    def test_trimmed_length_within_support_bound(self):
+        binom20 = [math.comb(20, k) * 0.3**k * 0.7 ** (20 - k) for k in range(21)]
+        for probs in ([0.5, 0.5], [0.9, 0.1], binom20):
+            p = IntDistribution(0, np.array(probs) / math.fsum(probs))
+            for n in (1, 2, 3, 7, 100, 1000, 12345, 10**5, 10**6, 10**7):
+                assert len(power_convolve(p, n)) <= power_support_bound(p, n)
+        # a fair bit at N=10^7: 22,889 trimmed points against 10^7 + 1 untrimmed
+        assert power_support_bound(FAIR, 10**7) == 26546
+        assert power_support_bound(IntDistribution.delta(3), 10**7) == 1
 
 class TestMoments:
     def test_examples(self):

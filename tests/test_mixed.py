@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import direct_power, random_density, random_mixture, random_state
+from conftest import (
+    class_number_distribution,
+    direct_power,
+    random_density,
+    random_mixture,
+    random_state,
+)
 from phaseconv import (
     CombinatorialBlowupError,
     DensityMatrix,
@@ -22,8 +28,8 @@ from phaseconv import (
     typical_decomposition,
     uhlmann_fidelity,
 )
-from phaseconv.distributions import convolve, moments
-from phaseconv.mixed import class_number_distribution, embedded_density
+from phaseconv.distributions import char_fn, convolve, moments
+from phaseconv.mixed import class_fidelity_exact, class_fidelity_gauss, embedded_density
 
 FAIR0 = standardize(IntDistribution(0, np.array([0.5, 0.5])))
 FAIR1 = standardize(IntDistribution(1, np.array([0.5, 0.5])))
@@ -180,13 +186,43 @@ class TestClassNumberDistribution:
     def test_moments(self):
         dec = typical_decomposition(HALF_HALF, 8, epsilon=2.0)
         for cls_ in dec.classes:
-            law = class_number_distribution(HALF_HALF, cls_)
+            law = class_number_distribution(HALF_HALF, cls_.counts)
             mu, var = moments(law)
             assert mu == pytest.approx(8 * cls_.mu, rel=1e-9)
             assert var == pytest.approx(8 * cls_.sigma_sq, rel=1e-9, abs=1e-12)
 
 
+class TestClassFidelityExact:
+    def test_matches_convolution_oracle(self):
+        rng = np.random.default_rng(515)
+        grid = np.linspace(-math.pi, math.pi, 129)
+        for _ in range(6):
+            target = random_mixture(rng)
+            m = int(rng.integers(2, 40))
+            for cls_ in typical_decomposition(target, m).classes:
+                ch = char_fn(class_number_distribution(target, cls_.counts), grid)
+                np.testing.assert_allclose(
+                    class_fidelity_exact(target, cls_, grid), ch.real**2 + ch.imag**2,
+                    rtol=0, atol=1e-12,
+                )
+
+
 class TestMixedLowerBound:
+    def test_floor_is_min_over_every_class(self):
+        rng = np.random.default_rng(616)
+        grid = np.linspace(-math.pi, math.pi, 65)
+        for _ in range(6):
+            target = random_mixture(rng)
+            m = int(rng.integers(2, 40))
+            dec = typical_decomposition(target, m)
+            for method, fid in (
+                ("gauss", lambda c: class_fidelity_gauss(c, m, grid)),
+                ("exact", lambda c: class_fidelity_exact(target, c, grid)),
+            ):
+                stacked = np.min([fid(c) for c in dec.classes], axis=0)
+                bound = fidelity_mixed_lower_bound(target, m, grid, method=method, decomposition=dec)
+                np.testing.assert_array_equal(bound, (1.0 - dec.residual_mass) * stacked)
+
     def test_aligned_gives_one_minus_delta(self):
         dec = typical_decomposition(HALF_HALF, 16)
         bound = fidelity_mixed_lower_bound(HALF_HALF, 16, 0.0)

@@ -21,12 +21,14 @@ from phaseconv import (
     figure_of_merit_quadrature,
     posterior_density_exact,
     posterior_density_gauss,
+    posterior_density_grid,
     posterior_gauss_distance,
     rate_analysis,
     sample_gamma,
     standardize,
     wrap_angle,
 )
+from phaseconv.distributions import char_fn, power_convolve
 
 TWO_PI = 2 * math.pi
 FAIR = standardize(IntDistribution(0, np.array([0.5, 0.5])))
@@ -99,6 +101,35 @@ class TestPosteriorExact:
             )
 
 
+class TestPosteriorGrid:
+    def test_matches_dense_oracle(self):
+        # random spectra; odd and even grids, grids shorter than the support,
+        # cell edges and cell midpoints
+        rng = np.random.default_rng(404)
+        for _ in range(12):
+            spec = PosteriorSpec.for_copies(random_state(rng), int(rng.integers(1, 120)))
+            size = len(spec.ncopy_spectrum)
+            for points in (size // 3 + 1, size - 1, 2 * size + 1, 64, 257, 1024):
+                for midpoint in (False, True):
+                    shift = 0.5 if midpoint else 0.0
+                    grid = -math.pi + TWO_PI * (np.arange(points) + shift) / points
+                    dense = posterior_density_exact(spec, grid)
+                    fast = posterior_density_grid(spec, points, midpoint=midpoint)
+                    assert np.abs(fast - dense).max() <= 1e-10 * dense.max()
+
+    def test_far_offset_source(self):
+        # positions near 10^6: phases come from integer residues, not n * gamma
+        spec = PosteriorSpec.for_copies(standardize(IntDistribution(10**6, np.array([0.5, 0.5]))), 1)
+        grid = -math.pi + TWO_PI * (np.arange(33) + 0.5) / 33
+        np.testing.assert_allclose(
+            posterior_density_grid(spec, 33, midpoint=True), (1 + np.cos(grid)) / TWO_PI, atol=1e-14
+        )
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            posterior_density_grid(PosteriorSpec.for_copies(FAIR, 2), 0, midpoint=False)
+
+
 class TestPosteriorGauss:
     def test_peak_height(self):
         spec = PosteriorSpec.for_copies(FAIR, 100)
@@ -122,7 +153,8 @@ class TestPosteriorGauss:
             posterior_gauss_distance(PosteriorSpec.for_copies(FAIR, n)) for n in (64, 256, 1024)
         ]
         assert tvs[0] > tvs[1] > tvs[2] > 0
-        # symmetric source: the skew term cancels, leaving 1/N scaling
+        # the 1/sqrt(N) skew term drops out of |amplitude|^2 for any source,
+        # leaving 1/N scaling
         for a, b in zip(tvs, tvs[1:]):
             assert a / b == pytest.approx(4.0, rel=0.1)
 
@@ -189,6 +221,21 @@ class TestPureFidelity:
         vals = fidelity_pure_exact(tgt, 6, grid)
         assert vals.min() >= -1e-12 and vals.max() <= 1 + 1e-12
         np.testing.assert_allclose(vals, fidelity_pure_exact(tgt, 6, -grid), atol=1e-12)
+
+    def test_matches_convolution_oracle(self):
+        rng = np.random.default_rng(808)
+        grid = np.linspace(-math.pi, math.pi, 257)
+        for _ in range(10):
+            tgt, m = random_state(rng), int(rng.integers(1, 300))
+            ch = char_fn(power_convolve(tgt.spectrum, m), grid)
+            np.testing.assert_allclose(
+                fidelity_pure_exact(tgt, m, grid), ch.real**2 + ch.imag**2, rtol=0, atol=1e-12
+            )
+            assert fidelity_pure_exact(tgt, m, 0.4) == pytest.approx(
+                abs(char_fn(power_convolve(tgt.spectrum, m), 0.4)) ** 2, abs=1e-12
+            )
+        with pytest.raises(ValueError):
+            fidelity_pure_exact(FAIR, 0, 0.1)
 
     def test_gauss_validation(self):
         assert fidelity_pure_gauss(0.0, 10, 1.0) == 1.0
@@ -303,9 +350,9 @@ class TestRateAnalysis:
 
     def test_fft_cap(self):
         with pytest.raises(ResourceCapError):
-            rate_analysis(FAIR, FAIR, RateSchedule("power", 0.5), [400, 1600], fft_cap=512)
+            rate_analysis(FAIR, FAIR, RateSchedule("power", 0.5), [400, 1600], fft_cap=256)
         with pytest.raises(ResourceCapError):
-            ensure_fft_cap(FAIR, 10**7, FAIR, 1, 2**20)
+            ensure_fft_cap(FAIR, 10**7, FAIR, 1, 2**14)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
