@@ -68,6 +68,7 @@ from .u1 import (
     posterior_density_grid,
     posterior_gauss_distance,
     rate_analysis,
+    rate_verdict,
     sample_gamma,
     standardize,
     wrap_angle,

@@ -25,9 +25,11 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,11 +42,12 @@ from .errors import (
     ResourceCapError,
 )
 from .mixed import (
+    DEFAULT_CLASS_CAP,
+    DEFAULT_DIM_CAP,
     MixedTarget,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
     figure_of_merit_mixed_bound,
-    typical_decomposition,
 )
 from .u1 import (
     CONVERGENCE_THRESHOLD,
@@ -57,6 +60,7 @@ from .u1 import (
     figure_of_merit_exact,
     figure_of_merit_mc,
     posterior_gauss_distance,
+    rate_verdict,
 )
 from .zd import (
     CyclicCoeffs,
@@ -66,68 +70,38 @@ from .zd import (
 )
 
 SCHEMA_VERSION = 1
-EXPERIMENTS = ("u1-fom", "u1-posterior", "u1-rates", "zd", "mixed-bound", "mixed-oracle")
 DEFAULT_MC_DRAWS = 4096
-DEFAULT_CLASS_CAP = 10**6
-DEFAULT_DIM_CAP = 4096
 _METHODS = ("exact", "closed", "mc")
 
-_ALLOWED_KEYS = {
-    "u1-fom": {"source", "target", "n_grid", "m_schedule", "methods", "mc_draws", "seed", "fft_cap"},
-    "u1-posterior": {"source", "n_grid", "grid_points", "seed"},
-    "u1-rates": {"source", "target", "n_grid", "m_schedule", "threshold", "seed", "fft_cap"},
-    "zd": {"probs", "d", "n_grid", "seed"},
-    "mixed-bound": {
-        "source", "target", "n_grid", "m_schedule", "epsilon", "bound_method",
-        "grid_points", "class_cap", "seed",
-    },
-    "mixed-oracle": {"target", "m_grid", "gamma_grid", "epsilon", "bound_method", "dim_cap", "seed"},
-}
+# default of a config key that must be given
+_REQUIRED = object()
+
+# optional keys for which a JSON null reads as absent, so that the default applies
+_NULL_IS_DEFAULT = {"grid_points", "epsilon"}
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated sweep inputs, primitives only so worker processes can unpickle it."""
+class SweepConfig(SimpleNamespace):
+    """Validated sweep inputs: ``experiment`` plus one attribute per config key.
 
-    experiment: str
-    seed: int = 0
-    source_probs: tuple[float, ...] | None = None
-    source_offset: int = 0
-    target_probs: tuple[float, ...] | None = None
-    target_offset: int = 0
-    components: tuple[tuple[tuple[float, ...], int], ...] | None = None
-    weights: tuple[float, ...] | None = None
-    n_grid: tuple[int, ...] = ()
-    m_kind: str | None = None  # "power" | "linear" | "list"
-    m_value: float | None = None
-    m_list: tuple[int, ...] | None = None
-    methods: tuple[str, ...] = ("exact", "closed")
-    mc_draws: int = DEFAULT_MC_DRAWS
-    fft_cap: int = DEFAULT_FFT_CAP
-    grid_points: int | None = None
-    threshold: float = CONVERGENCE_THRESHOLD
-    zd_probs: tuple[float, ...] | None = None
-    epsilon: float | None = None
-    bound_method: str = "gauss"
-    class_cap: int = DEFAULT_CLASS_CAP
-    dim_cap: int = DEFAULT_DIM_CAP
-    m_grid: tuple[int, ...] = ()
-    gamma_grid: tuple[float, ...] = ()
+    Spectra are built `NumberState` and `MixedTarget` values; they pickle to
+    worker processes.  ``m_schedule`` is (kind, value, list).
+    """
 
-    def source_state(self) -> NumberState:
-        return _build_state(self.source_probs, self.source_offset)
+    @property
+    def m_kind(self) -> str:
+        return self.m_schedule[0]
 
-    def target_state(self) -> NumberState:
-        return _build_state(self.target_probs, self.target_offset)
+    @property
+    def m_value(self) -> float | None:
+        return self.m_schedule[1]
 
-    def mixed_target(self) -> MixedTarget:
-        states = tuple(_build_state(p, off) for p, off in self.components)
-        return MixedTarget(states, self.weights)
+    @property
+    def zd_probs(self) -> tuple[float, ...]:
+        return self.probs
 
     def m_for(self, index: int, n: int) -> int:
-        if self.m_kind == "list":
-            return self.m_list[index]
-        return RateSchedule(self.m_kind, self.m_value).m_for(n)
+        kind, value, m_list = self.m_schedule
+        return m_list[index] if kind == "list" else RateSchedule(kind, value).m_for(n)
 
 
 @dataclass
@@ -138,11 +112,6 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _build_state(probs, offset) -> NumberState:
-    arr = np.asarray(probs, dtype=np.float64)
-    return NumberState(IntDistribution.from_raw(int(offset), arr / arr.sum(), trim_threshold=0.0))
-
-
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -151,88 +120,327 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _take_prob_list(problems: list, f: str, value, min_len: int = 1):
+def _fail(problems: list, message: str) -> None:
+    """Record one problem; a check returns this None as its failed value."""
+    problems.append(message)
+
+
+def _check(accept, expected: str, convert=None):
+    """A check whose value either passes ``accept`` or is one problem."""
+    def check(problems: list, f: str, value, *_):
+        if not accept(value):
+            return _fail(problems, f"{f}: expected {expected}")
+        return value if convert is None else convert(value)
+    return check
+
+
+def _take_prob_list(problems: list, f: str, value, *_, min_len: int = 1):
     if not isinstance(value, list) or len(value) < min_len:
-        problems.append(f"{f}: expected a list of at least {min_len} probabilities")
-        return None
+        return _fail(problems, f"{f}: expected a list of at least {min_len} probabilities")
     if not all(_is_num(x) for x in value):
-        problems.append(f"{f}: entries must be finite numbers")
-        return None
+        return _fail(problems, f"{f}: entries must be finite numbers")
     if any(x < 0 for x in value):
-        problems.append(f"{f}: entries must be nonnegative")
-        return None
+        return _fail(problems, f"{f}: entries must be nonnegative")
     total = math.fsum(value)
     if abs(total - 1.0) > 1e-9:
-        problems.append(f"{f}: probabilities sum to {total:.6g}, expected 1")
-        return None
+        return _fail(problems, f"{f}: probabilities sum to {total:.6g}, expected 1")
     if max(value) == 0:
-        problems.append(f"{f}: all entries are zero")
-        return None
+        return _fail(problems, f"{f}: all entries are zero")
     return tuple(value)
 
 
-def _take_spectrum(problems: list, f: str, value):
-    """Validate a pure-state spectrum object {"probs": [...], "offset": int}."""
+def _take_spectrum(problems: list, f: str, value, *_):
+    """Validate a pure-state spectrum object {"probs": [...], "offset": int} into a state."""
     if not isinstance(value, dict):
-        problems.append(f"{f}: expected an object with 'probs' and optional 'offset'")
-        return None
+        return _fail(problems, f"{f}: expected an object with 'probs' and optional 'offset'")
     unknown = set(value) - {"probs", "offset"}
     if unknown:
         problems.append(f"{f}: unknown keys {sorted(unknown)}")
     if "probs" not in value:
-        problems.append(f"{f}.probs: missing")
-        return None
+        return _fail(problems, f"{f}.probs: missing")
     probs = _take_prob_list(problems, f + ".probs", value["probs"])
     offset = value.get("offset", 0)
     if not _is_int(offset) or offset < 0:
-        problems.append(f"{f}.offset: expected a nonnegative integer")
-        return None
+        return _fail(problems, f"{f}.offset: expected a nonnegative integer")
     if probs is None:
         return None
-    arr = np.array(probs)
+    arr = np.array(probs, dtype=np.float64)
     nz = np.flatnonzero(arr)
     if np.any(arr[nz[0]: nz[-1] + 1] == 0):
-        problems.append(f"{f}.probs: interior zeros make the spectrum gapped")
+        return _fail(problems, f"{f}.probs: interior zeros make the spectrum gapped")
+    return NumberState(IntDistribution.from_raw(offset, arr / arr.sum(), trim_threshold=0.0))
+
+
+def _take_mixture(problems: list, f: str, value, *_):
+    """Validate {"components": [spectrum...], "weights": [...]} into a `MixedTarget`."""
+    if not isinstance(value, dict) or set(value) != {"components", "weights"}:
+        return _fail(problems, f"{f}: expected {{'components': [...], 'weights': [...]}}")
+    comps = value["components"]
+    if not isinstance(comps, list) or not comps:
+        return _fail(problems, f"{f}.components: expected a nonempty list of spectra")
+    states = [_take_spectrum(problems, f"{f}.components[{i}]", c) for i, c in enumerate(comps)]
+    weights = value["weights"]
+    if not isinstance(weights, list) or not all(_is_num(w) for w in weights):
+        return _fail(problems, f"{f}.weights: expected a list of numbers")
+    if len(weights) != len(comps):
+        return _fail(
+            problems, f"{f}.weights: length {len(weights)} does not match {len(comps)} components"
+        )
+    if any(w <= 0 for w in weights):
+        return _fail(problems, f"{f}.weights: weights must be strictly positive")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > 1e-9:
+        return _fail(problems, f"{f}.weights: weights sum to {total:.6g}, expected 1")
+    if any(state is None for state in states):
         return None
-    return probs, offset
+    return MixedTarget(tuple(states), tuple(float(w) / total for w in weights))
 
 
-def _take_int_grid(problems: list, f: str, value, *, increasing: bool = True):
+def _take_int_grid(problems: list, f: str, value, *_, increasing: bool = True):
     if not isinstance(value, list) or not value:
-        problems.append(f"{f}: expected a nonempty list of positive integers")
-        return None
+        return _fail(problems, f"{f}: expected a nonempty list of positive integers")
     if not all(_is_int(x) and x >= 1 for x in value):
-        problems.append(f"{f}: entries must be integers >= 1")
-        return None
+        return _fail(problems, f"{f}: entries must be integers >= 1")
     if increasing and any(b <= a for a, b in zip(value, value[1:])):
-        problems.append(f"{f}: entries must be strictly increasing")
-        return None
+        return _fail(problems, f"{f}: entries must be strictly increasing")
     return tuple(value)
 
 
-def _take_m_schedule(problems: list, value, n_len: int | None):
+def _take_m_schedule(problems: list, f: str, value, values: dict):
     """Validate the schedule shape; the list-length check needs a valid n_grid."""
     if not isinstance(value, dict) or len(value) != 1 or next(iter(value)) not in ("a", "c", "list"):
-        problems.append("m_schedule: expected exactly one of {'a': ...}, {'c': ...}, {'list': [...]}")
-        return None
+        return _fail(
+            problems, f"{f}: expected exactly one of {{'a': ...}}, {{'c': ...}}, {{'list': [...]}}"
+        )
     key, val = next(iter(value.items()))
     if key == "a":
         if not _is_num(val) or not (0 < val <= 1):
-            problems.append("m_schedule.a: exponent must lie in (0, 1]")
-            return None
+            return _fail(problems, f"{f}.a: exponent must lie in (0, 1]")
         return ("power", float(val), None)
     if key == "c":
         if not _is_num(val) or val <= 0:
-            problems.append("m_schedule.c: slope must be positive")
-            return None
+            return _fail(problems, f"{f}.c: slope must be positive")
         return ("linear", float(val), None)
-    lst = _take_int_grid(problems, "m_schedule.list", val, increasing=False)
+    lst = _take_int_grid(problems, f"{f}.list", val, increasing=False)
     if lst is None:
         return None
-    if n_len is not None and len(lst) != n_len:
-        problems.append(f"m_schedule.list: length {len(lst)} does not match n_grid length {n_len}")
-        return None
+    n_grid = values.get("n_grid")
+    if n_grid is not None and len(lst) != len(n_grid):
+        return _fail(
+            problems, f"{f}.list: length {len(lst)} does not match n_grid length {len(n_grid)}"
+        )
     return ("list", None, lst)
+
+
+def _take_dimension(problems: list, f: str, value, values: dict):
+    """The optional zd dimension, cross-checked against len(probs)."""
+    if not _is_int(value) or value < 2:
+        return _fail(problems, f"{f}: expected an integer >= 2")
+    probs = values.get("probs")
+    if probs is not None and value != len(probs):
+        return _fail(problems, f"{f}: {value} does not match len(probs) = {len(probs)}")
+    return value
+
+
+def _n_m_keys(config: SweepConfig) -> list[dict]:
+    return [{"N": n, "M": config.m_for(i, n)} for i, n in enumerate(config.n_grid)]
+
+
+def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = None) -> None:
+    methods = methods or config.methods
+    n, m = row["N"], row["M"]
+    source, target = config.source, config.target
+    ensure_fft_cap(source, n, target, m, config.fft_cap)
+    if "exact" in methods:
+        row["f_exact"] = figure_of_merit_exact(source, n, target, m)
+    if "closed" in methods:
+        row["f_closed"] = figure_of_merit_closed(source.variance, n, target.variance, m)
+    if "exact" in methods and "closed" in methods:
+        row["gap"] = row["f_exact"] - row["f_closed"]
+    if "mc" in methods:
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, m]))
+        est, err = figure_of_merit_mc(source, n, target, m, config.mc_draws, rng)
+        row["f_mc"], row["f_mc_stderr"] = est, err
+
+
+def _posterior_row(config: SweepConfig, row: dict) -> None:
+    spec = PosteriorSpec.for_copies(config.source, row["N"])
+    row["tv_exact_gauss"] = posterior_gauss_distance(spec, config.grid_points)
+
+
+def _zd_row(config: SweepConfig, row: dict) -> None:
+    source = CyclicCoeffs(np.array(config.probs))
+    row["success_prob"] = success_probability(source, row["N"])
+    row["epsilon"] = contraction_rate(source)
+
+
+def _bound_row(config: SweepConfig, row: dict) -> None:
+    res = figure_of_merit_mixed_bound(
+        config.source, row["N"], config.target, row["M"], epsilon=config.epsilon,
+        method=config.bound_method, grid_points=config.grid_points, class_cap=config.class_cap,
+    )
+    row["f_bound"] = res.f_bound
+    row["delta_rho"] = res.decomposition.residual_mass
+    row["epsilon"] = res.decomposition.epsilon_used
+    row["n_classes"] = res.decomposition.n_classes
+
+
+def _oracle_row(config: SweepConfig, row: dict) -> None:
+    m, gamma = row["M"], row["gamma"]
+    row["f_exact"] = exact_mixed_fidelity_small(config.target, m, gamma, dim_cap=config.dim_cap)
+    row["f_bound"] = fidelity_mixed_lower_bound(
+        config.target, m, gamma, epsilon=config.epsilon, method=config.bound_method
+    )
+
+
+def _clean(rows: list[dict]) -> bool:
+    return not any(row["error"] for row in rows)
+
+
+def _rates_metadata(config: SweepConfig, rows: list[dict]) -> dict:
+    kind, value, _ = config.m_schedule
+    verdict = "indeterminate"
+    if _clean(rows):
+        verdict = rate_verdict([row["f_exact"] for row in rows], config.threshold)
+    return {
+        "schedule": "M=list" if kind == "list" else RateSchedule(kind, value).label,
+        "threshold": config.threshold,
+        "verdict": verdict,
+    }
+
+
+def _posterior_metadata(config: SweepConfig, rows: list[dict]) -> dict:
+    if len(rows) < 2 or not _clean(rows):
+        return {}
+    return {"tv_ratios": [a["tv_exact_gauss"] / b["tv_exact_gauss"] for a, b in zip(rows, rows[1:])]}
+
+
+def _zd_metadata(config: SweepConfig, rows: list[dict]) -> dict:
+    source = CyclicCoeffs(np.array(config.probs))
+    meta = {"epsilon": contraction_rate(source)}
+    if len(rows) >= 2 and _clean(rows):
+        try:
+            fit = success_slope_fit(source, [row["N"] for row in rows])
+            meta["slope_fit"] = {
+                "slope": fit.slope,
+                "intercept": fit.intercept,
+                "slope_theory": fit.slope_theory,
+            }
+        except ValueError as exc:
+            meta["slope_fit"] = {"error": str(exc)}
+    return meta
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One sweep experiment.
+
+    ``keys`` holds (key, check, default) in validation order, with
+    `_REQUIRED` for a mandatory key.  A check takes (problems, key, value,
+    values validated so far), appends one message per problem and returns
+    the validated value, or None on failure.  ``row_keys`` gives each row's
+    key columns and ``row`` fills in the rest of a row in place, calling the
+    library through this module's globals so that it can be traced or
+    patched here.  ``metadata`` summarizes the rows for the JSON output.
+    """
+
+    keys: tuple[tuple[str, Callable, object], ...]
+    header: tuple[str, ...]
+    row_keys: Callable[[SweepConfig], list[dict]]
+    row: Callable[[SweepConfig, dict], None]
+    metadata: Callable[[SweepConfig, list[dict]], dict] = lambda config, rows: {}
+
+
+_POSITIVE_INT = _check(lambda v: _is_int(v) and v >= 1, "a positive integer")
+_GRID_POINTS = _check(lambda v: _is_int(v) and v >= 16, "an integer >= 16")
+_EPSILON = _check(lambda v: _is_num(v) and 0 < v <= 2, "a number in (0, 2]", float)
+_BOUND_METHOD = _check(lambda v: v in ("gauss", "exact"), "'gauss' or 'exact'")
+_SEED = ("seed", _check(lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)"), 0)
+_SOURCE = ("source", _take_spectrum, _REQUIRED)
+_TARGET = ("target", _take_spectrum, _REQUIRED)
+_MIXTURE = ("target", _take_mixture, _REQUIRED)
+_N_GRID = ("n_grid", _take_int_grid, _REQUIRED)
+_M_SCHEDULE = ("m_schedule", _take_m_schedule, _REQUIRED)
+_FFT_CAP = ("fft_cap", _POSITIVE_INT, DEFAULT_FFT_CAP)
+_FOM_HEADER = ("N", "M", "f_exact", "f_closed", "gap")
+
+EXPERIMENTS = {
+    "u1-fom": Experiment(
+        keys=(
+            _SOURCE, _TARGET, _N_GRID, _M_SCHEDULE,
+            ("methods", _check(
+                # membership first: set() would raise on an unhashable entry
+                lambda v: isinstance(v, list) and v and all(m in _METHODS for m in v)
+                and len(set(v)) == len(v),
+                "a nonempty subset of ['exact', 'closed', 'mc']",
+                lambda v: tuple(m for m in _METHODS if m in v),
+            ), ("exact", "closed")),
+            ("mc_draws", _check(lambda v: _is_int(v) and v >= 100, "an integer >= 100"),
+             DEFAULT_MC_DRAWS),
+            _FFT_CAP,
+        ),
+        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row,
+    ),
+    "u1-posterior": Experiment(
+        keys=(_SOURCE, _N_GRID, ("grid_points", _GRID_POINTS, 8192)),
+        header=("N", "tv_exact_gauss"),
+        row_keys=lambda config: [{"N": n} for n in config.n_grid],
+        row=_posterior_row, metadata=_posterior_metadata,
+    ),
+    "u1-rates": Experiment(
+        keys=(
+            _SOURCE, _TARGET, _N_GRID, _M_SCHEDULE,
+            ("threshold", _check(lambda v: _is_num(v) and 0 < v < 1, "a number in (0, 1)", float),
+             CONVERGENCE_THRESHOLD),
+            _FFT_CAP,
+        ),
+        header=_FOM_HEADER, row_keys=_n_m_keys,
+        row=partial(_fom_row, methods=("exact", "closed")), metadata=_rates_metadata,
+    ),
+    "zd": Experiment(
+        keys=(
+            ("probs", partial(_take_prob_list, min_len=2), _REQUIRED),
+            ("d", _take_dimension, None),
+            _N_GRID,
+        ),
+        header=("d", "N", "success_prob", "epsilon"),
+        row_keys=lambda config: [{"d": len(config.probs), "N": n} for n in config.n_grid],
+        row=_zd_row, metadata=_zd_metadata,
+    ),
+    "mixed-bound": Experiment(
+        # None defers to the library: epsilon ((ln M)/M)^(1/4), grid_points max(4097, 2*span+3)
+        keys=(
+            _SOURCE, _MIXTURE, _N_GRID, _M_SCHEDULE, ("epsilon", _EPSILON, None),
+            ("bound_method", _BOUND_METHOD, "gauss"), ("grid_points", _GRID_POINTS, None),
+            ("class_cap", _POSITIVE_INT, DEFAULT_CLASS_CAP),
+        ),
+        header=("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
+        row_keys=_n_m_keys, row=_bound_row,
+        metadata=lambda config, rows: {"bound_method": config.bound_method},
+    ),
+    "mixed-oracle": Experiment(
+        keys=(
+            _MIXTURE,
+            ("m_grid", _take_int_grid, _REQUIRED),
+            ("gamma_grid", _check(
+                lambda v: isinstance(v, list) and v and all(_is_num(g) for g in v),
+                "a nonempty list of finite numbers",
+                lambda v: tuple(float(g) for g in v),
+            ), _REQUIRED),
+            ("epsilon", _EPSILON, 2.0),
+            ("bound_method", _BOUND_METHOD, "exact"),
+            ("dim_cap", _POSITIVE_INT, DEFAULT_DIM_CAP),
+        ),
+        header=("M", "gamma", "f_exact", "f_bound"),
+        row_keys=lambda config: [
+            {"M": m, "gamma": g} for m in config.m_grid for g in config.gamma_grid
+        ],
+        row=_oracle_row,
+        metadata=lambda config, rows: {
+            "bound_method": config.bound_method, "epsilon": config.epsilon
+        },
+    ),
+}
 
 
 def parse_config(text: str, experiment: str) -> SweepConfig:
@@ -246,301 +454,41 @@ def parse_config(text: str, experiment: str) -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError(["config: top level must be a JSON object"])
 
-    problems: list[str] = []
-    unknown = set(raw) - _ALLOWED_KEYS[experiment]
-    for key in sorted(unknown):
-        problems.append(f"{key}: unknown key for experiment '{experiment}'")
-
-    fields: dict = {"experiment": experiment}
-
-    seed = raw.get("seed", 0)
-    if not _is_int(seed) or not (0 <= seed < 2**64):
-        problems.append("seed: expected an integer in [0, 2^64)")
-    else:
-        fields["seed"] = seed
-
-    def grab_source():
-        if "source" not in raw:
-            problems.append("source: missing")
+    keys = (_SEED, *EXPERIMENTS[experiment].keys)
+    problems = [
+        f"{key}: unknown key for experiment '{experiment}'"
+        for key in sorted(set(raw) - {name for name, _, _ in keys})
+    ]
+    values: dict = {}
+    for name, check, default in keys:
+        if raw.get(name) is not None or (name in raw and name not in _NULL_IS_DEFAULT):
+            values[name] = check(problems, name, raw[name], values)
+        elif default is _REQUIRED:
+            problems.append(f"{name}: missing")
         else:
-            spec = _take_spectrum(problems, "source", raw["source"])
-            if spec:
-                fields["source_probs"], fields["source_offset"] = spec
-
-    def grab_target_pure():
-        if "target" not in raw:
-            problems.append("target: missing")
-        else:
-            spec = _take_spectrum(problems, "target", raw["target"])
-            if spec:
-                fields["target_probs"], fields["target_offset"] = spec
-
-    def grab_target_mixed():
-        val = raw.get("target")
-        if not isinstance(val, dict) or set(val) != {"components", "weights"}:
-            problems.append("target: expected {'components': [...], 'weights': [...]}")
-            return
-        comps = val["components"]
-        if not isinstance(comps, list) or not comps:
-            problems.append("target.components: expected a nonempty list of spectra")
-            return
-        parsed = []
-        for i, comp in enumerate(comps):
-            spec = _take_spectrum(problems, f"target.components[{i}]", comp)
-            if spec:
-                parsed.append(spec)
-        weights = val["weights"]
-        ok = isinstance(weights, list) and all(_is_num(w) for w in weights)
-        if not ok:
-            problems.append("target.weights: expected a list of numbers")
-            return
-        if len(weights) != len(comps):
-            problems.append(
-                f"target.weights: length {len(weights)} does not match {len(comps)} components"
-            )
-            return
-        if any(w <= 0 for w in weights):
-            problems.append("target.weights: weights must be strictly positive")
-            return
-        total = math.fsum(weights)
-        if abs(total - 1.0) > 1e-9:
-            problems.append(f"target.weights: weights sum to {total:.6g}, expected 1")
-            return
-        if len(parsed) == len(comps):
-            fields["components"] = tuple(parsed)
-            fields["weights"] = tuple(float(w) / total for w in weights)
-
-    def grab_n_grid():
-        if "n_grid" not in raw:
-            problems.append("n_grid: missing")
-        else:
-            grid = _take_int_grid(problems, "n_grid", raw["n_grid"])
-            if grid:
-                fields["n_grid"] = grid
-
-    def grab_m_schedule():
-        if "m_schedule" not in raw:
-            problems.append("m_schedule: missing")
-        else:
-            n_len = len(fields["n_grid"]) if "n_grid" in fields else None
-            sched = _take_m_schedule(problems, raw["m_schedule"], n_len)
-            if sched:
-                fields["m_kind"], fields["m_value"], fields["m_list"] = sched
-
-    def grab_cap(key: str, default: int):
-        val = raw.get(key, default)
-        if not _is_int(val) or val < 1:
-            problems.append(f"{key}: expected a positive integer")
-        else:
-            fields[key] = val
-
-    def grab_optional_grid_points():
-        val = raw.get("grid_points")
-        if val is not None:
-            if not _is_int(val) or val < 16:
-                problems.append("grid_points: expected an integer >= 16")
-            else:
-                fields["grid_points"] = val
-
-    def grab_epsilon():
-        val = raw.get("epsilon")
-        if val is not None:
-            if not _is_num(val) or not (0 < val <= 2):
-                problems.append("epsilon: expected a number in (0, 2]")
-            else:
-                fields["epsilon"] = float(val)
-
-    def grab_bound_method(default: str):
-        val = raw.get("bound_method", default)
-        if val not in ("gauss", "exact"):
-            problems.append("bound_method: expected 'gauss' or 'exact'")
-        else:
-            fields["bound_method"] = val
-
-    if experiment == "u1-fom":
-        grab_source()
-        grab_target_pure()
-        grab_n_grid()
-        grab_m_schedule()
-        methods = raw.get("methods", ["exact", "closed"])
-        if (
-            not isinstance(methods, list)
-            or not methods
-            or len(set(methods)) != len(methods)
-            or not set(methods) <= set(_METHODS)
-        ):
-            problems.append("methods: expected a nonempty subset of ['exact', 'closed', 'mc']")
-        else:
-            fields["methods"] = tuple(m for m in _METHODS if m in methods)
-        draws = raw.get("mc_draws", DEFAULT_MC_DRAWS)
-        if not _is_int(draws) or draws < 100:
-            problems.append("mc_draws: expected an integer >= 100")
-        else:
-            fields["mc_draws"] = draws
-        grab_cap("fft_cap", DEFAULT_FFT_CAP)
-    elif experiment == "u1-posterior":
-        grab_source()
-        grab_n_grid()
-        grab_optional_grid_points()
-    elif experiment == "u1-rates":
-        grab_source()
-        grab_target_pure()
-        grab_n_grid()
-        grab_m_schedule()
-        thr = raw.get("threshold", CONVERGENCE_THRESHOLD)
-        if not _is_num(thr) or not (0 < thr < 1):
-            problems.append("threshold: expected a number in (0, 1)")
-        else:
-            fields["threshold"] = float(thr)
-        grab_cap("fft_cap", DEFAULT_FFT_CAP)
-    elif experiment == "zd":
-        probs = None
-        if "probs" not in raw:
-            problems.append("probs: missing")
-        else:
-            probs = _take_prob_list(problems, "probs", raw["probs"], min_len=2)
-            if probs:
-                fields["zd_probs"] = probs
-        if "d" in raw:
-            if not _is_int(raw["d"]) or raw["d"] < 2:
-                problems.append("d: expected an integer >= 2")
-            elif probs and raw["d"] != len(probs):
-                problems.append(f"d: {raw['d']} does not match len(probs) = {len(probs)}")
-        grab_n_grid()
-    elif experiment == "mixed-bound":
-        grab_source()
-        grab_target_mixed()
-        grab_n_grid()
-        grab_m_schedule()
-        grab_epsilon()
-        grab_bound_method("gauss")
-        grab_optional_grid_points()
-        grab_cap("class_cap", DEFAULT_CLASS_CAP)
-    elif experiment == "mixed-oracle":
-        grab_target_mixed()
-        grid = None
-        if "m_grid" not in raw:
-            problems.append("m_grid: missing")
-        else:
-            grid = _take_int_grid(problems, "m_grid", raw["m_grid"])
-            if grid:
-                fields["m_grid"] = grid
-        gammas = raw.get("gamma_grid")
-        if not isinstance(gammas, list) or not gammas or not all(_is_num(g) for g in gammas):
-            problems.append("gamma_grid: expected a nonempty list of finite numbers")
-        else:
-            fields["gamma_grid"] = tuple(float(g) for g in gammas)
-        grab_epsilon()
-        grab_bound_method("exact")
-        grab_cap("dim_cap", DEFAULT_DIM_CAP)
-
+            values[name] = default
     if problems:
         raise ConfigValidationError(problems)
-    return SweepConfig(**fields)
+    return SweepConfig(experiment=experiment, **values)
 
 
 def result_header(experiment: str, methods: tuple[str, ...] = ()) -> tuple[str, ...]:
     """Fixed, documented column order for each experiment."""
-    if experiment in ("u1-fom", "u1-rates"):
-        cols = ["N", "M", "f_exact", "f_closed", "gap"]
-        if experiment == "u1-fom" and "mc" in methods:
-            cols += ["f_mc", "f_mc_stderr"]
-    elif experiment == "u1-posterior":
-        cols = ["N", "tv_exact_gauss"]
-    elif experiment == "zd":
-        cols = ["d", "N", "success_prob", "epsilon"]
-    elif experiment == "mixed-bound":
-        cols = ["N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"]
-    elif experiment == "mixed-oracle":
-        cols = ["M", "gamma", "f_exact", "f_bound"]
-    else:
+    if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    return tuple(cols + ["error"])
+    cols = EXPERIMENTS[experiment].header
+    if experiment == "u1-fom" and "mc" in methods:
+        cols += ("f_mc", "f_mc_stderr")
+    return cols + ("error",)
 
 
-def _row_keys(config: SweepConfig) -> list[tuple]:
-    exp = config.experiment
-    if exp in ("u1-fom", "u1-rates", "mixed-bound"):
-        return [(n, config.m_for(i, n)) for i, n in enumerate(config.n_grid)]
-    if exp in ("u1-posterior", "zd"):
-        return [(n,) for n in config.n_grid]
-    if exp == "mixed-oracle":
-        return [(m, g) for m in config.m_grid for g in config.gamma_grid]
-    raise ValueError(f"unknown experiment {exp!r}")
+def _compute_row(config: SweepConfig, row: dict) -> dict:
+    """Fill in one sweep row; failures are captured, never raised.
 
-
-def _compute_row(config: SweepConfig, key: tuple) -> dict:
-    """Evaluate one sweep row; failures are captured, never raised."""
-    exp = config.experiment
-    row: dict = {}
+    A failed row keeps its key columns and the values computed before the failure.
+    """
     try:
-        if exp == "u1-fom":
-            n, m = key
-            row = {"N": n, "M": m}
-            source, target = config.source_state(), config.target_state()
-            ensure_fft_cap(source, n, target, m, config.fft_cap)
-            if "exact" in config.methods:
-                row["f_exact"] = figure_of_merit_exact(source, n, target, m)
-            if "closed" in config.methods:
-                row["f_closed"] = figure_of_merit_closed(
-                    source.variance, n, target.variance, m
-                )
-            if "exact" in config.methods and "closed" in config.methods:
-                row["gap"] = row["f_exact"] - row["f_closed"]
-            if "mc" in config.methods:
-                rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, m]))
-                est, err = figure_of_merit_mc(source, n, target, m, config.mc_draws, rng)
-                row["f_mc"], row["f_mc_stderr"] = est, err
-        elif exp == "u1-rates":
-            n, m = key
-            row = {"N": n, "M": m}
-            source, target = config.source_state(), config.target_state()
-            ensure_fft_cap(source, n, target, m, config.fft_cap)
-            row["f_exact"] = figure_of_merit_exact(source, n, target, m)
-            row["f_closed"] = figure_of_merit_closed(source.variance, n, target.variance, m)
-            row["gap"] = row["f_exact"] - row["f_closed"]
-        elif exp == "u1-posterior":
-            (n,) = key
-            row = {"N": n}
-            spec = PosteriorSpec.for_copies(config.source_state(), n)
-            row["tv_exact_gauss"] = posterior_gauss_distance(
-                spec, config.grid_points or 8192
-            )
-        elif exp == "zd":
-            (n,) = key
-            source = CyclicCoeffs(np.array(config.zd_probs))
-            row = {"d": source.d, "N": n}
-            row["success_prob"] = success_probability(source, n)
-            row["epsilon"] = contraction_rate(source)
-        elif exp == "mixed-bound":
-            n, m = key
-            row = {"N": n, "M": m}
-            res = figure_of_merit_mixed_bound(
-                config.source_state(),
-                n,
-                config.mixed_target(),
-                m,
-                epsilon=config.epsilon,
-                method=config.bound_method,
-                grid_points=config.grid_points,
-                class_cap=config.class_cap,
-            )
-            row["f_bound"] = res.f_bound
-            row["delta_rho"] = res.decomposition.residual_mass
-            row["epsilon"] = res.decomposition.epsilon_used
-            row["n_classes"] = res.decomposition.n_classes
-        elif exp == "mixed-oracle":
-            m, gamma = key
-            row = {"M": m, "gamma": gamma}
-            target = config.mixed_target()
-            row["f_exact"] = exact_mixed_fidelity_small(
-                target, m, gamma, dim_cap=config.dim_cap
-            )
-            eps = config.epsilon if config.epsilon is not None else 2.0
-            row["f_bound"] = fidelity_mixed_lower_bound(
-                target, m, gamma, epsilon=eps, method=config.bound_method,
-                class_cap=config.class_cap,
-            )
+        EXPERIMENTS[config.experiment].row(config, row)
         row["error"] = None
     except (ResourceCapError, CombinatorialBlowupError) as exc:
         row["error"] = str(exc)
@@ -554,61 +502,19 @@ def _compute_row(config: SweepConfig, key: tuple) -> dict:
     return row
 
 
-def _attach_metadata(config: SweepConfig, result: SweepResult) -> None:
-    rows, meta = result.rows, result.metadata
-    clean = [r for r in rows if not r["error"]]
-    exp = config.experiment
-    if exp == "u1-rates":
-        meta["schedule"] = RateSchedule(config.m_kind, config.m_value).label \
-            if config.m_kind != "list" else "M=list"
-        meta["threshold"] = config.threshold
-        if len(clean) == len(rows) and rows:
-            increasing = all(
-                b["f_exact"] > a["f_exact"] for a, b in zip(clean, clean[1:])
-            )
-            converged = increasing and clean[-1]["f_exact"] > config.threshold
-            meta["verdict"] = "converges" if converged else "plateaus"
-        else:
-            meta["verdict"] = "indeterminate"
-    elif exp == "u1-posterior":
-        if len(clean) == len(rows) and len(rows) >= 2:
-            meta["tv_ratios"] = [
-                a["tv_exact_gauss"] / b["tv_exact_gauss"] for a, b in zip(clean, clean[1:])
-            ]
-    elif exp == "zd":
-        source = CyclicCoeffs(np.array(config.zd_probs))
-        meta["epsilon"] = contraction_rate(source)
-        if len(clean) == len(rows) and len(rows) >= 2:
-            try:
-                fit = success_slope_fit(source, [r["N"] for r in clean])
-                meta["slope_fit"] = {
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "slope_theory": fit.slope_theory,
-                }
-            except ValueError as exc:
-                meta["slope_fit"] = {"error": str(exc)}
-    elif exp == "mixed-bound":
-        meta["bound_method"] = config.bound_method
-    elif exp == "mixed-oracle":
-        meta["bound_method"] = config.bound_method
-        meta["epsilon"] = config.epsilon if config.epsilon is not None else 2.0
-
-
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run all rows of a sweep; deterministic given (config, seed), any jobs value."""
     start = time.perf_counter()
-    keys = _row_keys(config)
+    experiment = EXPERIMENTS[config.experiment]
+    keys = experiment.row_keys(config)
     worker = partial(_compute_row, config)
     if jobs > 1 and len(keys) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
             rows = list(pool.map(worker, keys))
     else:
         rows = [worker(k) for k in keys]
-    result = SweepResult(
-        config.experiment, result_header(config.experiment, config.methods), rows
-    )
-    _attach_metadata(config, result)
+    header = result_header(config.experiment, getattr(config, "methods", ()))
+    result = SweepResult(config.experiment, header, rows, experiment.metadata(config, rows))
     result.metadata.update(
         {
             "experiment": config.experiment,
@@ -628,10 +534,6 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
 def _fmt_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -715,7 +617,7 @@ def main(argv=None) -> int:
         if not (0 <= args.seed < 2**64):
             print("error: --seed must lie in [0, 2^64)", file=sys.stderr)
             return 1
-        config = replace(config, seed=args.seed)
+        config.seed = args.seed
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)

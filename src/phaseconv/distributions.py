@@ -12,6 +12,7 @@ construction and safe to share between worker processes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -251,18 +252,24 @@ def l1_distance(a: IntDistribution, b: IntDistribution) -> float:
     return float(np.abs(grid).sum())
 
 
-def _phase_sum(weights: np.ndarray, positions: np.ndarray, gamma):
-    """Sum_n w_n exp(i n gamma) for scalar or array gamma, chunked over gamma."""
+def _phase_sum(weights: np.ndarray, offset: int, gamma):
+    """Sum_j w_j exp(i (offset + j) gamma) for scalar or array gamma, chunked over gamma.
+
+    The sum runs over the local positions j and the offset enters as one
+    unit-modulus factor, so moduli keep their digits at large offsets.
+    """
+    positions = np.arange(weights.size)
     gamma_arr = np.asarray(gamma, dtype=np.float64)
     if gamma_arr.ndim == 0:
-        return complex(np.exp(1j * float(gamma_arr) * positions) @ weights)
+        g = float(gamma_arr)
+        return complex(np.exp(1j * g * positions) @ weights) * cmath.exp(1j * offset * g)
     flat = gamma_arr.reshape(-1)
     out = np.empty(flat.size, dtype=np.complex128)
     chunk = max(1, 4_000_000 // positions.size)
     for start in range(0, flat.size, chunk):
         block = flat[start : start + chunk]
         out[start : start + block.size] = np.exp(1j * np.outer(block, positions)) @ weights
-    return out.reshape(gamma_arr.shape)
+    return (out * np.exp(1j * offset * flat)).reshape(gamma_arr.shape)
 
 
 def char_fn(p: IntDistribution, gamma):
@@ -271,12 +278,12 @@ def char_fn(p: IntDistribution, gamma):
     2*pi-periodic in gamma; equals 1 at gamma = 0 and has modulus <= 1.
     Accepts a scalar or an array of angles.
     """
-    return _phase_sum(p.probs, p.support, gamma)
+    return _phase_sum(p.probs, p.offset, gamma)
 
 
 def amp_char_fn(p: IntDistribution, gamma):
     """Amplitude-weighted phase sum Sum_n sqrt(p_n) exp(i n gamma)."""
-    return _phase_sum(np.sqrt(p.probs), p.support, gamma)
+    return _phase_sum(np.sqrt(p.probs), p.offset, gamma)
 
 
 def amp_char_grid(p: IntDistribution, grid_points: int, *, midpoint: bool) -> np.ndarray:

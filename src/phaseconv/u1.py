@@ -365,6 +365,16 @@ class RateReport:
     grid: tuple[int, ...] = field(default=())
 
 
+def rate_verdict(f_exact, threshold: float = CONVERGENCE_THRESHOLD) -> str:
+    """Convergence verdict on exact figures of merit along a yield schedule.
+
+    "converges" when they increase strictly and the last one exceeds
+    ``threshold``, "plateaus" otherwise.
+    """
+    increasing = all(b > a for a, b in zip(f_exact, f_exact[1:]))
+    return "converges" if increasing and f_exact[-1] > threshold else "plateaus"
+
+
 def ensure_fft_cap(
     source: NumberState, n_copies: int, target: NumberState, m_copies: int, cap: int
 ) -> None:
@@ -390,8 +400,7 @@ def rate_analysis(
 ) -> RateReport:
     """Tabulate exact and closed-form figures of merit along M(N).
 
-    Flags "converges" when the exact value increases strictly along the grid
-    and its terminal value exceeds ``threshold``, "plateaus" otherwise.
+    The verdict is `rate_verdict` of the exact values.
     Raises `ResourceCapError` when a trimmed convolution power could exceed
     ``fft_cap`` support points.
     """
@@ -407,6 +416,5 @@ def rate_analysis(
         f_exact = figure_of_merit_exact(source, n, target, m)
         f_closed = figure_of_merit_closed(sigma_phi_sq, n, sigma_psi_sq, m)
         rows.append(RateRow(n, m, f_exact, f_closed, f_exact - f_closed))
-    increasing = all(b.f_exact > a.f_exact for a, b in zip(rows, rows[1:]))
-    verdict = "converges" if increasing and rows[-1].f_exact > threshold else "plateaus"
+    verdict = rate_verdict([row.f_exact for row in rows], threshold)
     return RateReport(tuple(rows), schedule.label, verdict, threshold, tuple(n_grid))

@@ -1,0 +1,86 @@
+"""Checks that hold for every experiment in the CLI table, and the contents of failed rows."""
+import csv
+import json
+
+import pytest
+
+from phaseconv import ConfigValidationError, cli
+from phaseconv.cli import emit, exit_code_for, parse_config, run_sweep
+
+FAIR = {"probs": [0.5, 0.5]}
+MIXED_TARGET = {
+    "components": [{"probs": [0.5, 0.5]}, {"probs": [0.2, 0.5, 0.3], "offset": 1}],
+    "weights": [0.4, 0.6],
+}
+
+# one config per experiment holding exactly its required keys
+MINIMAL = {
+    "u1-fom": {"source": FAIR, "target": FAIR, "n_grid": [8, 16], "m_schedule": {"a": 0.5}},
+    "u1-posterior": {"source": FAIR, "n_grid": [8, 16]},
+    "u1-rates": {"source": FAIR, "target": FAIR, "n_grid": [8, 16], "m_schedule": {"c": 0.5}},
+    "zd": {"probs": [0.7, 0.3], "n_grid": [2, 4]},
+    "mixed-bound": {
+        "source": FAIR, "target": MIXED_TARGET, "n_grid": [16, 32], "m_schedule": {"list": [4, 8]},
+    },
+    "mixed-oracle": {"target": MIXED_TARGET, "m_grid": [1, 2], "gamma_grid": [0.3]},
+}
+
+
+def test_every_experiment_has_a_minimal_config():
+    assert set(MINIMAL) == set(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", list(cli.EXPERIMENTS))
+class TestEveryExperiment:
+    def test_jobs_do_not_change_output(self, experiment):
+        config = parse_config(json.dumps(MINIMAL[experiment]), experiment)
+        serial, parallel = run_sweep(config, jobs=1), run_sweep(config, jobs=2)
+        assert len(serial.rows) >= 2
+        assert exit_code_for(serial.rows) == 0
+        assert emit(serial) == emit(parallel)
+        assert json.loads(emit(serial, "json"))["rows"] == json.loads(emit(parallel, "json"))["rows"]
+
+    def test_each_required_key_reported_missing(self, experiment):
+        for key in MINIMAL[experiment]:
+            payload = {k: v for k, v in MINIMAL[experiment].items() if k != key}
+            with pytest.raises(ConfigValidationError) as info:
+                parse_config(json.dumps(payload), experiment)
+            assert any(p.startswith(f"{key}:") for p in info.value.problems), info.value.problems
+
+    def test_unknown_key_rejected(self, experiment):
+        payload = {**MINIMAL[experiment], "colour": "blue"}
+        with pytest.raises(ConfigValidationError) as info:
+            parse_config(json.dumps(payload), experiment)
+        assert info.value.problems == [f"colour: unknown key for experiment '{experiment}'"]
+
+
+class TestFailedRows:
+    def test_zero_variance_row_keeps_computed_values(self):
+        # f_exact is computed before the closed form refuses a zero-variance source
+        payload = {**MINIMAL["u1-fom"], "source": {"probs": [1.0], "offset": 2}}
+        result = run_sweep(parse_config(json.dumps(payload), "u1-fom"))
+        lines = list(csv.reader(emit(result).splitlines()))
+        assert lines[0] == ["N", "M", "f_exact", "f_closed", "gap", "error"]
+        for line, row in zip(lines[1:], result.rows):
+            n, m, f_exact, f_closed, gap, error = line
+            assert (int(n), int(m)) == (row["N"], row["M"])
+            assert f_exact == format(row["f_exact"], ".12g")
+            assert f_closed == gap == ""
+            assert "variance" in error
+        assert exit_code_for(result.rows) == 2
+
+    def test_capped_row_keeps_key_columns(self):
+        payload = {**MINIMAL["u1-fom"], "n_grid": [50, 200], "fft_cap": 100}
+        result = run_sweep(parse_config(json.dumps(payload), "u1-fom"))
+        capped = list(csv.reader(emit(result).splitlines()))[2]
+        assert capped[:2] == ["200", "15"]
+        assert capped[2:5] == ["", "", ""]
+        assert "fft_cap" in capped[5]
+        assert exit_code_for(result.rows) == 3
+
+
+def test_unhashable_methods_entry_is_a_validation_problem():
+    payload = {**MINIMAL["u1-fom"], "methods": [["exact"]]}
+    with pytest.raises(ConfigValidationError) as info:
+        parse_config(json.dumps(payload), "u1-fom")
+    assert info.value.problems == ["methods: expected a nonempty subset of ['exact', 'closed', 'mc']"]

@@ -24,6 +24,7 @@ from phaseconv import (
     posterior_density_grid,
     posterior_gauss_distance,
     rate_analysis,
+    rate_verdict,
     sample_gamma,
     standardize,
     wrap_angle,
@@ -90,6 +91,15 @@ class TestPosteriorExact:
             grid = -math.pi + TWO_PI * (np.arange(points) + 0.5) / points
             mass = posterior_density_exact(spec, grid).mean() * TWO_PI
             assert mass == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("offset", [10**6, 10**8])
+    def test_large_offsets_keep_their_digits(self, offset):
+        # the phase sum runs over local positions; the offset is one unit-modulus factor
+        spec = PosteriorSpec.for_copies(standardize(IntDistribution(offset, np.array([0.5, 0.5]))), 1)
+        grid = np.linspace(-math.pi, math.pi, 101)
+        peak = 1 / math.pi
+        err = np.abs(posterior_density_exact(spec, grid) - (1 + np.cos(grid)) / TWO_PI).max()
+        assert err <= 1e-14 * peak
 
     def test_depends_only_on_misalignment(self):
         # density in (theta0, theta) enters only through gamma = theta - theta0
@@ -237,6 +247,14 @@ class TestPureFidelity:
         with pytest.raises(ValueError):
             fidelity_pure_exact(FAIR, 0, 0.1)
 
+    @pytest.mark.parametrize("offset", [10**6, 10**8])
+    def test_large_offsets_keep_their_digits(self, offset):
+        target = standardize(IntDistribution(offset, np.array([0.5, 0.5])))
+        grid = np.linspace(-math.pi, math.pi, 101)
+        for m in (1, 3):
+            err = np.abs(fidelity_pure_exact(target, m, grid) - np.cos(grid / 2) ** (2 * m)).max()
+            assert err <= 1e-14  # the peak is 1 at gamma = 0
+
     def test_gauss_validation(self):
         assert fidelity_pure_gauss(0.0, 10, 1.0) == 1.0
         with pytest.raises(ValueError):
@@ -353,6 +371,13 @@ class TestRateAnalysis:
             rate_analysis(FAIR, FAIR, RateSchedule("power", 0.5), [400, 1600], fft_cap=256)
         with pytest.raises(ResourceCapError):
             ensure_fft_cap(FAIR, 10**7, FAIR, 1, 2**14)
+
+    def test_verdict_rule(self):
+        assert rate_verdict([0.5, 0.9, 0.96]) == "converges"
+        assert rate_verdict([0.5, 0.9, 0.96], threshold=0.97) == "plateaus"
+        assert rate_verdict([0.5, 0.96, 0.96]) == "plateaus"  # strictly increasing only
+        assert rate_verdict([0.97, 0.96]) == "plateaus"
+        assert rate_verdict([0.99]) == "converges"
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
