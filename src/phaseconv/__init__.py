@@ -41,13 +41,11 @@ from .errors import (
 from .mixed import (
     DensityMatrix,
     MixedTarget,
-    TypeClass,
     TypicalDecomposition,
     epsilon_schedule,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
     figure_of_merit_mixed_bound,
-    typeclass_gaussian,
     typical_decomposition,
     uhlmann_fidelity,
 )

@@ -83,8 +83,8 @@ _NULL_IS_DEFAULT = {"grid_points", "epsilon"}
 class SweepConfig(SimpleNamespace):
     """Validated sweep inputs: ``experiment`` plus one attribute per config key.
 
-    Spectra are built `NumberState` and `MixedTarget` values; they pickle to
-    worker processes.  ``m_schedule`` is (kind, value, list).
+    Spectra are built `NumberState`, `MixedTarget` and `CyclicCoeffs` values;
+    they pickle to worker processes.  ``m_schedule`` is (kind, value, list).
     """
 
     @property
@@ -97,7 +97,7 @@ class SweepConfig(SimpleNamespace):
 
     @property
     def zd_probs(self) -> tuple[float, ...]:
-        return self.probs
+        return tuple(self.probs.probs.tolist())
 
     def m_for(self, index: int, n: int) -> int:
         kind, value, m_list = self.m_schedule
@@ -147,6 +147,15 @@ def _take_prob_list(problems: list, f: str, value, *_, min_len: int = 1):
     if max(value) == 0:
         return _fail(problems, f"{f}: all entries are zero")
     return tuple(value)
+
+
+def _take_cyclic(problems: list, f: str, value, *_):
+    """Validate zd probabilities into `CyclicCoeffs`, whose sum tolerance is 1e-12."""
+    probs = _take_prob_list(problems, f, value, min_len=2)
+    try:
+        return None if probs is None else CyclicCoeffs(np.array(probs))
+    except ValueError as exc:
+        return _fail(problems, f"{f}: {exc}")
 
 
 def _take_spectrum(problems: list, f: str, value, *_):
@@ -237,8 +246,8 @@ def _take_dimension(problems: list, f: str, value, values: dict):
     if not _is_int(value) or value < 2:
         return _fail(problems, f"{f}: expected an integer >= 2")
     probs = values.get("probs")
-    if probs is not None and value != len(probs):
-        return _fail(problems, f"{f}: {value} does not match len(probs) = {len(probs)}")
+    if probs is not None and value != probs.d:
+        return _fail(problems, f"{f}: {value} does not match len(probs) = {probs.d}")
     return value
 
 
@@ -269,9 +278,8 @@ def _posterior_row(config: SweepConfig, row: dict) -> None:
 
 
 def _zd_row(config: SweepConfig, row: dict) -> None:
-    source = CyclicCoeffs(np.array(config.probs))
-    row["success_prob"] = success_probability(source, row["N"])
-    row["epsilon"] = contraction_rate(source)
+    row["success_prob"] = success_probability(config.probs, row["N"])
+    row["epsilon"] = contraction_rate(config.probs)
 
 
 def _bound_row(config: SweepConfig, row: dict) -> None:
@@ -316,11 +324,10 @@ def _posterior_metadata(config: SweepConfig, rows: list[dict]) -> dict:
 
 
 def _zd_metadata(config: SweepConfig, rows: list[dict]) -> dict:
-    source = CyclicCoeffs(np.array(config.probs))
-    meta = {"epsilon": contraction_rate(source)}
+    meta = {"epsilon": contraction_rate(config.probs)}
     if len(rows) >= 2 and _clean(rows):
         try:
-            fit = success_slope_fit(source, [row["N"] for row in rows])
+            fit = success_slope_fit(config.probs, [row["N"] for row in rows])
             meta["slope_fit"] = {
                 "slope": fit.slope,
                 "intercept": fit.intercept,
@@ -399,12 +406,12 @@ EXPERIMENTS = {
     ),
     "zd": Experiment(
         keys=(
-            ("probs", partial(_take_prob_list, min_len=2), _REQUIRED),
+            ("probs", _take_cyclic, _REQUIRED),
             ("d", _take_dimension, None),
             _N_GRID,
         ),
         header=("d", "N", "success_prob", "epsilon"),
-        row_keys=lambda config: [{"d": len(config.probs), "N": n} for n in config.n_grid],
+        row_keys=lambda config: [{"d": config.probs.d, "N": n} for n in config.n_grid],
         row=_zd_row, metadata=_zd_metadata,
     ),
     "mixed-bound": Experiment(

@@ -9,8 +9,9 @@ the fidelity then certifies
 
     F(prepared, true) >= (1 - delta) * min over kept classes of F_class.
 
-The bound is cheap at any M; an exact Uhlmann-fidelity oracle on a dense
-embedding is provided for small copy numbers to validate it.
+The kept set holds about (2 eps M)^(rank-1) classes, guarded by ``class_cap``;
+an exact Uhlmann-fidelity oracle on a dense embedding validates the bound at
+small copy numbers.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .u1 import (
     NumberState,
     PosteriorSpec,
     fidelity_pure_exact,
+    fidelity_pure_gauss,
     posterior_density_grid,
 )
 
@@ -79,58 +81,18 @@ def epsilon_schedule(m_copies: int) -> float:
 
 
 @dataclass(frozen=True)
-class TypeClass:
-    """One kept composition: counts k with sum k = M, plus derived quantities.
-
-    ``mu`` and ``sigma_sq`` are the per-copy mean and variance of the class
-    component's number distribution: weighted averages of the component
-    moments with weights k/M.
-    """
-
-    counts: tuple[int, ...]
-    weight: float
-    mu: float
-    sigma_sq: float
-
-
-@dataclass(frozen=True)
 class TypicalDecomposition:
-    classes: tuple[TypeClass, ...]
+    """Kept classes: one composition of M per row of ``counts``, and their ``weights``."""
+
+    counts: np.ndarray
+    weights: np.ndarray
     residual_mass: float
     epsilon_used: float
     m_copies: int
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
-
-
-def _compositions_within(m: int, targets: np.ndarray, eps: float):
-    """Lexicographic compositions k of m with ||k/m - targets||_1 <= eps.
-
-    Prunes on a running lower bound: the L1 already accrued plus the best
-    possible contribution of the undecided coordinates (triangle inequality).
-    """
-    r = targets.size
-    budget = eps * m  # work in copy units to avoid repeated division
-    scaled = targets * m
-    suffix_mass = np.concatenate((np.cumsum(scaled[::-1])[::-1], [0.0]))
-    out: list[tuple[int, ...]] = []
-
-    def recurse(idx: int, remaining: int, accrued: float, prefix: tuple[int, ...]):
-        if idx == r - 1:
-            if accrued + abs(remaining - scaled[idx]) <= budget + 1e-9:
-                out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            partial = accrued + abs(k - scaled[idx])
-            # remaining coordinates hold exactly (remaining - k) copies
-            floor = abs((remaining - k) - suffix_mass[idx + 1])
-            if partial + floor <= budget + 1e-9:
-                recurse(idx + 1, remaining - k, partial, prefix + (k,))
-
-    recurse(0, m, 0.0, ())
-    return out
+        return len(self.counts)
 
 
 def typical_decomposition(
@@ -142,6 +104,9 @@ def typical_decomposition(
 ) -> TypicalDecomposition:
     """Enumerate the epsilon-typical type classes of target^(x M).
 
+    Counts are fixed one coordinate at a time, in lexicographic order; a prefix
+    goes once its accrued L1 plus the least the undecided counts add exceeds eps M.
+
     Class weights are multinomial(M; k) * prod t_k^k, evaluated in log space
     (the exact integers overflow and the direct product underflows long
     before M reaches interesting sizes).  ``residual_mass`` is one minus the
@@ -151,7 +116,7 @@ def typical_decomposition(
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
     r = target.rank
-    weights = np.array(target.weights)
+    t = np.array(target.weights)
     # cheap size estimates before enumerating anything
     per_coord = 2 * math.floor(eps * m_copies) + 1
     estimate = min(math.comb(m_copies + r - 1, r - 1), per_coord ** max(r - 1, 1))
@@ -159,65 +124,36 @@ def typical_decomposition(
         raise CombinatorialBlowupError(
             f"about {estimate} type classes at M={m_copies}, rank {r}; cap is {class_cap}"
         )
-    mus = np.array([c.mean for c in target.components])
-    var = target.component_variances
-    log_w = np.log(weights)
-    lgamma_m = math.lgamma(m_copies + 1)
-    classes = []
-    coverage = 0.0
-    for counts in _compositions_within(m_copies, weights, eps):
-        ks = np.array(counts, dtype=np.float64)
-        log_weight = lgamma_m - math.fsum(math.lgamma(k + 1) for k in counts) + float(ks @ log_w)
-        weight = math.exp(log_weight)
-        frac = ks / m_copies
-        classes.append(TypeClass(counts, weight, float(frac @ mus), float(frac @ var)))
-        coverage += weight
-    if not classes:
+    scaled = t * m_copies  # work in copy units to avoid repeated division
+    suffix_mass = np.concatenate((np.cumsum(scaled[::-1])[::-1], [0.0]))
+    budget = eps * m_copies + 1e-9
+    counts = np.zeros((1, 0), dtype=np.int64)
+    accrued = np.zeros(1)
+    for j in range(r - 1):
+        # one extra value at each end absorbs round-off in the box limits
+        lo = max(0, math.ceil(scaled[j] - budget) - 1)
+        box = np.arange(lo, min(m_copies, math.floor(scaled[j] + budget) + 1) + 1)
+        parent = np.repeat(np.arange(len(counts)), box.size)
+        counts = np.column_stack((counts[parent], np.tile(box, len(counts))))
+        accrued = accrued[parent] + np.abs(counts[:, -1] - scaled[j])
+        left = m_copies - counts.sum(axis=1)
+        keep = (left >= 0) & (accrued + np.abs(left - suffix_mass[j + 1]) <= budget)
+        counts, accrued = counts[keep], accrued[keep]
+    counts = np.column_stack((counts, m_copies - counts.sum(axis=1)))
+    counts = counts[accrued + np.abs(counts[:, -1] - scaled[-1]) <= budget]
+    if not len(counts):
         raise ValueError(
             f"no type class within epsilon={eps} at M={m_copies}; widen epsilon"
         )
-    return TypicalDecomposition(tuple(classes), max(0.0, 1.0 - coverage), eps, m_copies)
-
-
-def typeclass_gaussian(target: MixedTarget, counts, m_copies: int) -> tuple[float, float]:
-    """Per-copy Gaussian parameters (mu, sigma) of one type class.
-
-    Weighted averages of the component moments with weights counts/M; the
-    class component's M-copy number distribution has mean M*mu and variance
-    M*sigma^2 (independent summands add in both moments).
-    """
-    counts = tuple(int(k) for k in counts)
-    if len(counts) != target.rank or sum(counts) != m_copies or min(counts) < 0:
-        raise ValueError(
-            f"counts must be {target.rank} nonnegative integers summing to {m_copies}"
-        )
-    frac = np.array(counts, dtype=np.float64) / m_copies
-    mus = np.array([c.mean for c in target.components])
-    var = target.component_variances
-    return float(frac @ mus), math.sqrt(float(frac @ var))
-
-
-def class_fidelity_gauss(cls_: TypeClass, m_copies: int, gamma):
-    """Gaussian-model class fidelity exp(-M sigma_k^2 gamma^2)."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    out = np.exp(-m_copies * cls_.sigma_sq * gamma * gamma)
-    return float(out) if out.ndim == 0 else out
-
-
-def _class_product(component_fids: list, counts: tuple[int, ...]):
-    """prod_j F_j^(k_j) from the single-copy component fidelities F_j."""
-    return math.prod(f**k for f, k in zip(component_fids, counts) if k > 0)
-
-
-def class_fidelity_exact(target: MixedTarget, cls_: TypeClass, gamma):
-    """Exact class fidelity |sum_n Q_n e^{i n gamma}|^2 of the class number distribution Q.
-
-    Q is the convolution of the k_j-fold powers of the component spectra, so
-    its characteristic function is prod_j phi_j^(k_j) and the fidelity is
-    prod_j |phi_j(gamma)|^(2 k_j); no convolution is built.
-    """
-    component_fids = [fidelity_pure_exact(c, 1, gamma) for c in target.components]
-    return _class_product(component_fids, cls_.counts)
+    # log k! once per distinct count, not for all of 0..M: the counts lie in rank boxes
+    distinct, where = np.unique(counts, return_inverse=True)
+    log_factorial = np.array([math.lgamma(k + 1) for k in distinct.tolist()])
+    log_counts = log_factorial[where.reshape(counts.shape)].sum(axis=1)
+    weights = np.exp(math.lgamma(m_copies + 1) - log_counts + counts @ np.log(t))
+    counts.setflags(write=False)
+    weights.setflags(write=False)
+    residual = max(0.0, 1.0 - math.fsum(weights))
+    return TypicalDecomposition(counts, weights, residual, eps, m_copies)
 
 
 def fidelity_mixed_lower_bound(
@@ -233,9 +169,11 @@ def fidelity_mixed_lower_bound(
     """Certified lower bound (1 - delta) * min over classes of F_class(gamma).
 
     ``method`` picks the per-class fidelity: "gauss" for the analytic model
-    (certified for spectra it dominates, and the regime the closed forms live
-    in), "exact" for the trigonometric class fidelity.  Pass a precomputed
-    ``decomposition`` to amortize enumeration across many gamma batches.
+    exp(-M sigma_k^2 gamma^2) (certified for spectra it dominates, and the
+    regime the closed forms live in), "exact" for prod_j |phi_j(gamma)|^(2 k_j),
+    the fidelity of the class number distribution with no convolution built.
+    Pass a precomputed ``decomposition`` to amortize enumeration across many
+    gamma batches.
     """
     if method not in ("gauss", "exact"):
         raise ValueError(f"method must be 'gauss' or 'exact', got {method!r}")
@@ -244,13 +182,13 @@ def fidelity_mixed_lower_bound(
     )
     if method == "gauss":
         # exp(-M s^2 gamma^2) decreases as s^2 grows: the widest class is the minimum
-        widest = max(dec.classes, key=lambda c: c.sigma_sq)
-        floor = class_fidelity_gauss(widest, m_copies, gamma)
+        widest = ((dec.counts / dec.m_copies) @ target.component_variances).max()
+        floor = fidelity_pure_gauss(widest, m_copies, gamma)
     else:
         component_fids = [fidelity_pure_exact(c, 1, gamma) for c in target.components]
         floor = None
-        for c in dec.classes:
-            fid = _class_product(component_fids, c.counts)
+        for counts in dec.counts.tolist():
+            fid = math.prod(f**k for f, k in zip(component_fids, counts) if k > 0)
             floor = fid if floor is None else np.minimum(floor, fid)
     out = (1.0 - dec.residual_mass) * np.asarray(floor, dtype=np.float64)
     return float(out) if np.ndim(out) == 0 else out

@@ -1,4 +1,6 @@
 """Shared helpers: random instances and slow independent oracles."""
+import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -59,6 +61,27 @@ def class_number_distribution(target: MixedTarget, counts) -> IntDistribution:
         if k > 0
     ]
     return reduce(convolve, parts)
+
+
+def typical_classes_brute(target: MixedTarget, m: int, eps: float):
+    """Oracle: the epsilon-typical classes of target^(x M) with no pruning.
+
+    Every composition k of M, in lexicographic order, filtered by the L1 ball
+    ||k - M t||_1 <= eps M (plus the library's 1e-9 slack); weights are the
+    exact integer multinomial times prod t_j^k_j.  Returns (counts, weights).
+    """
+    t = np.array(target.weights)
+    kept, weights = [], []
+    for head in itertools.product(range(m + 1), repeat=t.size - 1):
+        counts = (*head, m - sum(head))
+        if counts[-1] < 0 or np.abs(np.array(counts) - m * t).sum() > eps * m + 1e-9:
+            continue
+        coeff = math.factorial(m)
+        for k in counts:
+            coeff //= math.factorial(k)
+        kept.append(counts)
+        weights.append(coeff * math.prod(tj**k for tj, k in zip(target.weights, counts)))
+    return np.array(kept, dtype=np.int64).reshape(-1, t.size), np.array(weights)
 
 
 def ks_uniform(draws: np.ndarray) -> float:

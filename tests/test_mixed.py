@@ -5,10 +5,10 @@ import pytest
 
 from conftest import (
     class_number_distribution,
-    direct_power,
     random_density,
     random_mixture,
     random_state,
+    typical_classes_brute,
 )
 from phaseconv import (
     CombinatorialBlowupError,
@@ -24,12 +24,11 @@ from phaseconv import (
     figure_of_merit_exact,
     figure_of_merit_mixed_bound,
     standardize,
-    typeclass_gaussian,
     typical_decomposition,
     uhlmann_fidelity,
 )
-from phaseconv.distributions import char_fn, convolve, moments
-from phaseconv.mixed import class_fidelity_exact, class_fidelity_gauss, embedded_density
+from phaseconv.distributions import char_fn, moments
+from phaseconv.mixed import embedded_density
 
 FAIR0 = standardize(IntDistribution(0, np.array([0.5, 0.5])))
 FAIR1 = standardize(IntDistribution(1, np.array([0.5, 0.5])))
@@ -79,13 +78,13 @@ class TestTypicalDecomposition:
     def test_pure_target_single_class(self):
         dec = typical_decomposition(MixedTarget.pure(FAIR0), 12)
         assert dec.n_classes == 1
-        assert dec.classes[0].counts == (12,)
-        assert dec.classes[0].weight == pytest.approx(1.0, abs=1e-12)
+        assert dec.counts.tolist() == [[12]]
+        assert dec.weights[0] == pytest.approx(1.0, abs=1e-12)
         assert dec.residual_mass == pytest.approx(0.0, abs=1e-12)
 
     def test_fair_mixture_four_copies(self):
         dec = typical_decomposition(HALF_HALF, 4, epsilon=0.5)
-        assert sorted(c.counts for c in dec.classes) == [(1, 3), (2, 2), (3, 1)]
+        assert dec.counts.tolist() == [[1, 3], [2, 2], [3, 1]]
         assert dec.residual_mass == pytest.approx(0.125, abs=1e-12)
 
     def test_full_ball_has_no_residual(self):
@@ -99,7 +98,7 @@ class TestTypicalDecomposition:
             target = random_mixture(rng)
             m = int(rng.integers(2, 40))
             dec = typical_decomposition(target, m)
-            total = sum(c.weight for c in dec.classes) + dec.residual_mass
+            total = math.fsum(dec.weights) + dec.residual_mass
             assert total == pytest.approx(1.0, abs=1e-12)
             assert dec.residual_mass >= 0.0
 
@@ -109,8 +108,8 @@ class TestTypicalDecomposition:
         m = 20
         dec = typical_decomposition(target, m)
         t = np.asarray(target.weights)
-        for cls_ in dec.classes:
-            dist = np.abs(np.asarray(cls_.counts) / m - t).sum()
+        for counts in dec.counts:
+            dist = np.abs(counts / m - t).sum()
             assert dist <= dec.epsilon_used + 1e-9
 
     def test_weights_match_exact_multinomial(self):
@@ -119,14 +118,14 @@ class TestTypicalDecomposition:
             target = random_mixture(rng)
             m = int(rng.integers(2, 13))
             dec = typical_decomposition(target, m, epsilon=2.0)
-            for cls_ in dec.classes:
+            for counts, weight in zip(dec.counts.tolist(), dec.weights):
                 coeff = math.factorial(m)
-                for k in cls_.counts:
+                for k in counts:
                     coeff //= math.factorial(k)
                 exact = float(coeff)
-                for k, t in zip(cls_.counts, target.weights):
+                for k, t in zip(counts, target.weights):
                     exact *= t**k
-                assert cls_.weight == pytest.approx(exact, rel=1e-12)
+                assert weight == pytest.approx(exact, rel=1e-12)
 
     def test_residual_shrinks_along_schedule(self):
         deltas = [typical_decomposition(HALF_HALF, m).residual_mass for m in (16, 64, 256, 1024)]
@@ -145,83 +144,57 @@ class TestTypicalDecomposition:
         with pytest.raises(ValueError):
             typical_decomposition(HALF_HALF, 4, epsilon=0.0)
 
-
-class TestTypeclassGaussian:
-    def test_single_component(self):
-        mu, sigma = typeclass_gaussian(MixedTarget.pure(FAIR1), (8,), 8)
-        assert mu == pytest.approx(FAIR1.mean)
-        assert sigma == pytest.approx(math.sqrt(FAIR1.variance))
-
-    def test_even_split(self):
-        mu, sigma = typeclass_gaussian(HALF_HALF, (2, 2), 4)
-        assert mu == pytest.approx(1.0)
-        assert sigma == pytest.approx(0.5)
-
-    def test_variance_matches_convolution_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            target = random_mixture(rng, max_rank=2)
-            m = int(rng.integers(2, 10))
-            counts = rng.multinomial(m, target.weights)
-            if np.any(counts == 0):
-                continue
-            mu, sigma = typeclass_gaussian(target, tuple(counts), m)
-            # independent-sum oracle: convolve the per-copy laws directly
-            law = None
-            for k, comp in zip(counts, target.components):
-                part = direct_power(comp.spectrum, int(k))
-                law = part if law is None else convolve(law, part)
-            mu_o, var_o = moments(law)
-            assert m * mu == pytest.approx(mu_o, rel=1e-9)
-            assert m * sigma**2 == pytest.approx(var_o, rel=1e-9)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            typeclass_gaussian(HALF_HALF, (3, 2), 4)
-        with pytest.raises(ValueError):
-            typeclass_gaussian(HALF_HALF, (4,), 4)
-
-
-class TestClassNumberDistribution:
-    def test_moments(self):
-        dec = typical_decomposition(HALF_HALF, 8, epsilon=2.0)
-        for cls_ in dec.classes:
-            law = class_number_distribution(HALF_HALF, cls_.counts)
-            mu, var = moments(law)
-            assert mu == pytest.approx(8 * cls_.mu, rel=1e-9)
-            assert var == pytest.approx(8 * cls_.sigma_sq, rel=1e-9, abs=1e-12)
-
-
-class TestClassFidelityExact:
-    def test_matches_convolution_oracle(self):
-        rng = np.random.default_rng(515)
-        grid = np.linspace(-math.pi, math.pi, 129)
-        for _ in range(6):
-            target = random_mixture(rng)
-            m = int(rng.integers(2, 40))
-            for cls_ in typical_decomposition(target, m).classes:
-                ch = char_fn(class_number_distribution(target, cls_.counts), grid)
-                np.testing.assert_allclose(
-                    class_fidelity_exact(target, cls_, grid), ch.real**2 + ch.imag**2,
-                    rtol=0, atol=1e-12,
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_brute_force_oracle(self, rank):
+        rng = np.random.default_rng(900 + rank)
+        for m in (1, 2, 5, 12, 30):
+            target = random_mixture(rng, max_rank=rank)
+            while target.rank < rank:
+                target = random_mixture(rng, max_rank=rank)
+            for eps in (2.0, epsilon_schedule(max(m, 2)), 1e-12):
+                counts, weights = typical_classes_brute(target, m, eps)
+                if rank > 1 and eps == 1e-12:
+                    assert len(counts) == 0
+                if len(counts) == 0:
+                    with pytest.raises(ValueError, match="no type class"):
+                        typical_decomposition(target, m, eps)
+                    continue
+                dec = typical_decomposition(target, m, eps)
+                assert dec.counts.dtype == np.int64
+                np.testing.assert_array_equal(dec.counts, counts)
+                np.testing.assert_allclose(dec.weights, weights, rtol=1e-12, atol=0)
+                assert dec.residual_mass == pytest.approx(
+                    max(0.0, 1.0 - math.fsum(weights)), abs=1e-12
                 )
+
+    def test_arrays_are_read_only(self):
+        dec = typical_decomposition(HALF_HALF, 8)
+        for arr in (dec.counts, dec.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestMixedLowerBound:
     def test_floor_is_min_over_every_class(self):
+        # each class's number distribution built by convolution: the gauss
+        # fidelity is exp(-Var gamma^2) and the exact one |char_fn|^2
         rng = np.random.default_rng(616)
         grid = np.linspace(-math.pi, math.pi, 65)
         for _ in range(6):
             target = random_mixture(rng)
             m = int(rng.integers(2, 40))
             dec = typical_decomposition(target, m)
-            for method, fid in (
-                ("gauss", lambda c: class_fidelity_gauss(c, m, grid)),
-                ("exact", lambda c: class_fidelity_exact(target, c, grid)),
-            ):
-                stacked = np.min([fid(c) for c in dec.classes], axis=0)
+            gauss, exact = [], []
+            for counts in dec.counts:
+                law = class_number_distribution(target, counts)
+                gauss.append(np.exp(-moments(law)[1] * grid**2))
+                ch = char_fn(law, grid)
+                exact.append(ch.real**2 + ch.imag**2)
+            for method, fids in (("gauss", gauss), ("exact", exact)):
                 bound = fidelity_mixed_lower_bound(target, m, grid, method=method, decomposition=dec)
-                np.testing.assert_array_equal(bound, (1.0 - dec.residual_mass) * stacked)
+                np.testing.assert_allclose(
+                    bound, (1.0 - dec.residual_mass) * np.min(fids, axis=0), rtol=0, atol=1e-12
+                )
 
     def test_aligned_gives_one_minus_delta(self):
         dec = typical_decomposition(HALF_HALF, 16)

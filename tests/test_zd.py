@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from phaseconv.cli import main
 from phaseconv.zd import (
     CyclicCoeffs,
     CyclicState,
@@ -231,3 +233,13 @@ class TestSlopeFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             success_slope_fit(BIASED, [5])
+
+
+def test_cli_refuses_a_sum_off_by_more_than_1e12(tmp_path, capsys):
+    # within the 1e-9 list check but outside CyclicCoeffs' 1e-12: a config error, not a traceback
+    config = tmp_path / "zd.json"
+    config.write_text(json.dumps({"probs": [0.5, 0.5000000005], "n_grid": [2, 4]}))
+    assert main(["zd", "--config", str(config), "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: probs: probabilities sum to 1.0000000005, expected 1\n"
