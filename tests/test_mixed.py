@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     class_number_distribution,
+    direct_power,
     random_density,
     random_mixture,
     random_state,
@@ -16,6 +17,7 @@ from phaseconv import (
     IntDistribution,
     MixedTarget,
     ResourceCapError,
+    TypicalDecomposition,
     epsilon_schedule,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
@@ -27,7 +29,7 @@ from phaseconv import (
     typical_decomposition,
     uhlmann_fidelity,
 )
-from phaseconv.distributions import char_fn, moments
+from phaseconv.distributions import char_fn, convolve, moments
 from phaseconv.mixed import embedded_density
 
 FAIR0 = standardize(IntDistribution(0, np.array([0.5, 0.5])))
@@ -172,6 +174,61 @@ class TestTypicalDecomposition:
         for arr in (dec.counts, dec.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def one_class(counts, m: int) -> TypicalDecomposition:
+    """A decomposition holding the single class ``counts`` and no residual mass."""
+    return TypicalDecomposition(np.array([counts], dtype=np.int64), np.ones(1), 0.0, 1.0, m)
+
+
+class TestTypeclassGaussian:
+    def test_variance_matches_convolution_oracle(self):
+        # the gauss bound of one class is exp(-Var gamma^2) with Var from the class counts
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            target = random_mixture(rng, max_rank=2)
+            m = int(rng.integers(2, 10))
+            counts = rng.multinomial(m, target.weights)
+            if np.any(counts == 0):
+                continue
+            # independent-sum oracle: convolve the per-copy laws directly
+            law = None
+            for k, comp in zip(counts, target.components):
+                part = direct_power(comp.spectrum, int(k))
+                law = part if law is None else convolve(law, part)
+            bound = fidelity_mixed_lower_bound(
+                target, m, 1.0, method="gauss", decomposition=one_class(counts, m)
+            )
+            assert -math.log(bound) == pytest.approx(moments(law)[1], rel=1e-9)
+
+
+class TestClassNumberDistribution:
+    def test_moments(self):
+        dec = typical_decomposition(HALF_HALF, 8, epsilon=2.0)
+        means = np.array([c.mean for c in HALF_HALF.components])
+        for counts in dec.counts:
+            mu, var = moments(class_number_distribution(HALF_HALF, counts))
+            assert mu == pytest.approx(counts @ means, rel=1e-9)
+            assert var == pytest.approx(
+                counts @ HALF_HALF.component_variances, rel=1e-9, abs=1e-12
+            )
+
+
+class TestClassFidelityExact:
+    def test_matches_convolution_oracle(self):
+        rng = np.random.default_rng(515)
+        grid = np.linspace(-math.pi, math.pi, 129)
+        for _ in range(6):
+            target = random_mixture(rng)
+            m = int(rng.integers(2, 40))
+            for counts in typical_decomposition(target, m).counts:
+                ch = char_fn(class_number_distribution(target, counts), grid)
+                bound = fidelity_mixed_lower_bound(
+                    target, m, grid, method="exact", decomposition=one_class(counts, m)
+                )
+                np.testing.assert_allclose(
+                    bound, ch.real**2 + ch.imag**2, rtol=0, atol=1e-12
+                )
 
 
 class TestMixedLowerBound:
