@@ -5,7 +5,7 @@ Library layout:
 - `distributions`: integer-supported probability vectors, convolution powers,
   characteristic functions.
 - `u1`: misalignment posterior, pure-target fidelities, figures of merit,
-  yield-schedule analysis.
+  yield schedules M(N) and their convergence verdict.
 - `mixed`: typical-type-class decomposition, certified mixed-target bounds,
   Uhlmann-fidelity oracles.
 - `zd`: exact cyclic-group protocol with geometric convergence.
@@ -52,7 +52,6 @@ from .mixed import (
 from .u1 import (
     NumberState,
     PosteriorSpec,
-    RateReport,
     RateSchedule,
     ensure_fft_cap,
     fidelity_pure_exact,
@@ -65,7 +64,6 @@ from .u1 import (
     posterior_density_gauss,
     posterior_density_grid,
     posterior_gauss_distance,
-    rate_analysis,
     rate_verdict,
     sample_gamma,
     standardize,

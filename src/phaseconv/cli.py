@@ -10,7 +10,7 @@ every problem at once.  Sweep rows are independent, so failures land in an
 ``error`` column instead of aborting the run, and the row order never depends
 on the parallelism degree.
 
-Exit codes: 0 success, 1 validation or I/O error, 2 some rows failed,
+Exit codes: 0 success, 1 usage, validation or I/O error, 2 some rows failed,
 3 some rows hit a resource cap.
 """
 
@@ -84,24 +84,9 @@ class SweepConfig(SimpleNamespace):
     """Validated sweep inputs: ``experiment`` plus one attribute per config key.
 
     Spectra are built `NumberState`, `MixedTarget` and `CyclicCoeffs` values;
-    they pickle to worker processes.  ``m_schedule`` is (kind, value, list).
+    they pickle to worker processes.  ``m_schedule`` is (label, one M per
+    ``n_grid`` entry).
     """
-
-    @property
-    def m_kind(self) -> str:
-        return self.m_schedule[0]
-
-    @property
-    def m_value(self) -> float | None:
-        return self.m_schedule[1]
-
-    @property
-    def zd_probs(self) -> tuple[float, ...]:
-        return tuple(self.probs.probs.tolist())
-
-    def m_for(self, index: int, n: int) -> int:
-        kind, value, m_list = self.m_schedule
-        return m_list[index] if kind == "list" else RateSchedule(kind, value).m_for(n)
 
 
 @dataclass
@@ -113,7 +98,8 @@ class SweepResult:
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite JSON number; an integer literal beyond float range is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _is_int(x) -> bool:
@@ -216,29 +202,33 @@ def _take_int_grid(problems: list, f: str, value, *_, increasing: bool = True):
 
 
 def _take_m_schedule(problems: list, f: str, value, values: dict):
-    """Validate the schedule shape; the list-length check needs a valid n_grid."""
+    """Resolve the schedule to (label, one M per n_grid entry).
+
+    With an invalid n_grid only the shape is checked, and the M values are None.
+    """
     if not isinstance(value, dict) or len(value) != 1 or next(iter(value)) not in ("a", "c", "list"):
         return _fail(
             problems, f"{f}: expected exactly one of {{'a': ...}}, {{'c': ...}}, {{'list': [...]}}"
         )
     key, val = next(iter(value.items()))
-    if key == "a":
-        if not _is_num(val) or not (0 < val <= 1):
-            return _fail(problems, f"{f}.a: exponent must lie in (0, 1]")
-        return ("power", float(val), None)
-    if key == "c":
-        if not _is_num(val) or val <= 0:
-            return _fail(problems, f"{f}.c: slope must be positive")
-        return ("linear", float(val), None)
-    lst = _take_int_grid(problems, f"{f}.list", val, increasing=False)
-    if lst is None:
-        return None
     n_grid = values.get("n_grid")
-    if n_grid is not None and len(lst) != len(n_grid):
-        return _fail(
-            problems, f"{f}.list: length {len(lst)} does not match n_grid length {len(n_grid)}"
-        )
-    return ("list", None, lst)
+    if key == "list":
+        lst = _take_int_grid(problems, f"{f}.list", val, increasing=False)
+        if lst is not None and n_grid is not None and len(lst) != len(n_grid):
+            return _fail(
+                problems, f"{f}.list: length {len(lst)} does not match n_grid length {len(n_grid)}"
+            )
+        return None if lst is None else ("M=list", lst)
+    if key == "a" and not (_is_num(val) and 0 < val <= 1):
+        return _fail(problems, f"{f}.a: exponent must lie in (0, 1]")
+    if key == "c" and not (_is_num(val) and val > 0):
+        return _fail(problems, f"{f}.c: slope must be positive")
+    schedule = RateSchedule("power" if key == "a" else "linear", float(val))
+    try:
+        m_values = None if n_grid is None else tuple(map(schedule.m_for, n_grid))
+    except OverflowError as exc:
+        return _fail(problems, f"{f}: {schedule.label} overflows ({exc})")
+    return schedule.label, m_values
 
 
 def _take_dimension(problems: list, f: str, value, values: dict):
@@ -252,7 +242,7 @@ def _take_dimension(problems: list, f: str, value, values: dict):
 
 
 def _n_m_keys(config: SweepConfig) -> list[dict]:
-    return [{"N": n, "M": config.m_for(i, n)} for i, n in enumerate(config.n_grid)]
+    return [{"N": n, "M": m} for n, m in zip(config.n_grid, config.m_schedule[1])]
 
 
 def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = None) -> None:
@@ -306,12 +296,11 @@ def _clean(rows: list[dict]) -> bool:
 
 
 def _rates_metadata(config: SweepConfig, rows: list[dict]) -> dict:
-    kind, value, _ = config.m_schedule
     verdict = "indeterminate"
     if _clean(rows):
         verdict = rate_verdict([row["f_exact"] for row in rows], config.threshold)
     return {
-        "schedule": "M=list" if kind == "list" else RateSchedule(kind, value).label,
+        "schedule": config.m_schedule[0],
         "threshold": config.threshold,
         "verdict": verdict,
     }
@@ -607,7 +596,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # argparse has printed the usage error
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()

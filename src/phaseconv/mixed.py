@@ -200,8 +200,6 @@ class MixedBoundResult:
 
     f_bound: float
     decomposition: TypicalDecomposition
-    grid_points: int
-    method: str
 
 
 def figure_of_merit_mixed_bound(
@@ -230,7 +228,7 @@ def figure_of_merit_mixed_bound(
     )
     density = posterior_density_grid(spec, points, midpoint=True)
     value = float(density @ bound) * TWO_PI / points
-    return MixedBoundResult(value, dec, points, method)
+    return MixedBoundResult(value, dec)
 
 
 @dataclass(frozen=True)
@@ -283,6 +281,12 @@ def uhlmann_fidelity(rho, sigma) -> float:
     return float(np.sqrt(eigs).sum() ** 2)
 
 
+def _embedding_dim(target: MixedTarget) -> int:
+    """Single-copy dimension (n_max + 1) * R of the embedding below."""
+    n_max = max(c.spectrum.offset + c.spectrum.span for c in target.components)
+    return (n_max + 1) * target.rank
+
+
 def _embedded_components(target: MixedTarget):
     """Orthonormal dense embedding of the mixture components.
 
@@ -292,8 +296,7 @@ def _embedded_components(target: MixedTarget):
     diagonal with angle n * gamma (n = index // R).
     """
     r = target.rank
-    n_max = max(c.spectrum.offset + c.spectrum.span for c in target.components)
-    dim = (n_max + 1) * r
+    dim = _embedding_dim(target)
     vectors = np.zeros((r, dim))
     for k, comp in enumerate(target.components):
         spec = comp.spectrum
@@ -332,12 +335,13 @@ def exact_mixed_fidelity_small(
     """
     if not 1 <= m_copies <= 3:
         raise ValueError(f"dense oracle supports 1 <= M <= 3, got {m_copies}")
-    rho0 = embedded_density(target, 0.0)
-    total = rho0.shape[0] ** m_copies
+    dim = _embedding_dim(target)
+    total = dim**m_copies
     if total > dim_cap:
         raise ResourceCapError(
-            f"embedding dimension {rho0.shape[0]}^{m_copies} = {total} exceeds dim_cap {dim_cap}"
+            f"embedding dimension {dim}^{m_copies} = {total} exceeds dim_cap {dim_cap}"
         )
+    rho0 = embedded_density(target, 0.0)
     rho1 = embedded_density(target, gamma)
     single = uhlmann_fidelity(rho0, rho1)
     if m_copies == 1:

@@ -17,7 +17,7 @@ prediction to compare against, never as the computation.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,22 +54,18 @@ class NumberState:
     """Standard-form pure state: nonnegative amplitudes sqrt(p_n) over numbers n.
 
     The spectrum must sit at nonnegative numbers and be gapless (no interior
-    zeros); gapped spectra are rejected unless ``allow_gapped`` is set, which
-    exists for negative tests only.
+    zeros).
     """
 
     spectrum: IntDistribution
-    allow_gapped: InitVar[bool] = False
 
-    def __post_init__(self, allow_gapped: bool):
+    def __post_init__(self):
         if self.spectrum.offset < 0:
             raise NegativeOffsetError(
                 f"number spectrum must start at n >= 0, got offset {self.spectrum.offset}"
             )
-        if not allow_gapped and np.any(self.spectrum.probs == 0):
-            raise GappedSpectrumError(
-                "number spectrum has interior zeros; pass allow_gapped=True to bypass"
-            )
+        if np.any(self.spectrum.probs == 0):
+            raise GappedSpectrumError("number spectrum has interior zeros")
 
     @property
     def mean(self) -> float:
@@ -85,9 +81,9 @@ class NumberState:
         return len(self.spectrum) == 1
 
 
-def standardize(raw_spectrum: IntDistribution, *, allow_gapped: bool = False) -> NumberState:
+def standardize(raw_spectrum: IntDistribution) -> NumberState:
     """Wrap a number spectrum as a standard-form state, validating its hypotheses."""
-    return NumberState(raw_spectrum, allow_gapped=allow_gapped)
+    return NumberState(raw_spectrum)
 
 
 @dataclass(frozen=True)
@@ -284,7 +280,6 @@ def figure_of_merit_mc(
     m_copies: int,
     draws: int,
     rng_seed,
-    mode: str = "exact",
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the figure of merit.
 
@@ -294,7 +289,7 @@ def figure_of_merit_mc(
     if draws < 100:
         raise ValueError(f"draws must be >= 100, got {draws}")
     spec = PosteriorSpec.for_copies(source, n_copies)
-    gamma = sample_gamma(spec, rng_seed, mode=mode, size=draws)
+    gamma = sample_gamma(spec, rng_seed, size=draws)
     values = fidelity_pure_exact(target, m_copies, gamma)
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(draws))
@@ -345,26 +340,6 @@ class RateSchedule:
         return f"M=ceil({self.value:g}*N)"
 
 
-@dataclass(frozen=True)
-class RateRow:
-    n_copies: int
-    m_copies: int
-    f_exact: float
-    f_closed: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Figure-of-merit table along a yield schedule, with a convergence verdict."""
-
-    rows: tuple[RateRow, ...]
-    schedule_label: str
-    verdict: str
-    threshold: float = CONVERGENCE_THRESHOLD
-    grid: tuple[int, ...] = field(default=())
-
-
 def rate_verdict(f_exact, threshold: float = CONVERGENCE_THRESHOLD) -> str:
     """Convergence verdict on exact figures of merit along a yield schedule.
 
@@ -387,34 +362,3 @@ def ensure_fft_cap(
         raise ResourceCapError(
             f"support estimate {worst} exceeds fft_cap {cap} at N={n_copies}, M={m_copies}"
         )
-
-
-def rate_analysis(
-    source: NumberState,
-    target: NumberState,
-    schedule: RateSchedule,
-    n_grid,
-    *,
-    threshold: float = CONVERGENCE_THRESHOLD,
-    fft_cap: int = DEFAULT_FFT_CAP,
-) -> RateReport:
-    """Tabulate exact and closed-form figures of merit along M(N).
-
-    The verdict is `rate_verdict` of the exact values.
-    Raises `ResourceCapError` when a trimmed convolution power could exceed
-    ``fft_cap`` support points.
-    """
-    n_grid = [int(n) for n in n_grid]
-    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be nonempty and strictly increasing")
-    sigma_phi_sq = source.variance
-    sigma_psi_sq = target.variance
-    rows = []
-    for n in n_grid:
-        m = schedule.m_for(n)
-        ensure_fft_cap(source, n, target, m, fft_cap)
-        f_exact = figure_of_merit_exact(source, n, target, m)
-        f_closed = figure_of_merit_closed(sigma_phi_sq, n, sigma_psi_sq, m)
-        rows.append(RateRow(n, m, f_exact, f_closed, f_exact - f_closed))
-    verdict = rate_verdict([row.f_exact for row in rows], threshold)
-    return RateReport(tuple(rows), schedule.label, verdict, threshold, tuple(n_grid))

@@ -20,16 +20,9 @@ _NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CyclicCoeffs:
-    """Probability vector over Z_d (d = len(probs) >= 2).
-
-    ``epsilon`` is the contraction rate of the generating single-copy
-    distribution when the vector came out of `canonical_coeffs`; a rate of 1
-    (e.g. a point-mass source) is legal but flagged ``degenerate`` since the
-    geometric-convergence hypothesis fails there.
-    """
+    """Probability vector over Z_d (d = len(probs) >= 2)."""
 
     probs: np.ndarray
-    epsilon: float | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64).copy()
@@ -40,19 +33,12 @@ class CyclicCoeffs:
         total = float(p.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        if self.epsilon is not None and not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
     @property
     def d(self) -> int:
         return self.probs.size
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the recorded contraction rate rules out convergence."""
-        return self.epsilon is not None and self.epsilon >= 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,7 +84,8 @@ def contraction_rate(source: CyclicCoeffs) -> float:
 
     Strictly below 1 exactly when the support of p is not contained in a coset
     of a proper subgroup; epsilon = 1 (no convergence, e.g. a point mass) is
-    returned rather than rejected and shows up as the degenerate flag.
+    returned rather than rejected, since the geometric-convergence hypothesis
+    fails there.
     """
     mags = np.abs(np.fft.fft(source.probs))
     return float(min(mags[1:].max(), 1.0))
@@ -110,14 +97,13 @@ def canonical_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
     c_j is the probability that the sum of N independent draws lands in
     residue class j.  Round-off can leave tiny negatives or drift the total;
     both are repaired (clamp, renormalize) since the drift is at machine scale
-    for any sane d.  The generating distribution's contraction rate rides
-    along on the result.
+    for any sane d.
     """
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
     c = np.fft.ifft(np.fft.fft(source.probs) ** n_copies).real
     np.clip(c, 0.0, None, out=c)
-    return CyclicCoeffs(c / c.sum(), contraction_rate(source))
+    return CyclicCoeffs(c / c.sum())
 
 
 def brute_force_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
@@ -133,7 +119,7 @@ def brute_force_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
             if cur[i] > 0:
                 nxt += cur[i] * np.roll(source.probs, i)
         cur = nxt
-    return CyclicCoeffs(cur / cur.sum(), contraction_rate(source))
+    return CyclicCoeffs(cur / cur.sum())
 
 
 def measure_eta_basis(state: CyclicState) -> np.ndarray:

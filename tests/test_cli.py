@@ -41,17 +41,17 @@ class TestParseConfig:
         assert config.methods == ("exact", "closed")
         assert config.mc_draws == 4096
         assert config.seed == 11
-        assert config.m_kind == "power" and config.m_value == 0.5
+        assert config.m_schedule == ("M=ceil(N^0.5)", (8, 10, 15))
 
     def test_schedule_resolves_copy_counts(self):
         config = cfg(
             "u1-fom", {**FOM_CONFIG, "n_grid": [400, 1600, 6400], "m_schedule": {"a": 0.5}}
         )
-        assert [config.m_for(i, n) for i, n in enumerate(config.n_grid)] == [20, 40, 80]
+        assert config.m_schedule[1] == (20, 40, 80)
 
     def test_list_schedule(self):
         config = cfg("u1-fom", {**FOM_CONFIG, "m_schedule": {"list": [3, 5, 7]}})
-        assert [config.m_for(i, n) for i, n in enumerate(config.n_grid)] == [3, 5, 7]
+        assert config.m_schedule == ("M=list", (3, 5, 7))
 
     def test_all_problems_reported(self):
         bad = {
@@ -102,7 +102,7 @@ class TestParseConfig:
 
     def test_zd_dimension_cross_check(self):
         config = cfg("zd", {"probs": [0.9, 0.1], "d": 2, "n_grid": [2, 4]})
-        assert config.zd_probs == (0.9, 0.1)
+        assert config.probs.probs.tolist() == [0.9, 0.1]
         with pytest.raises(ConfigValidationError) as info:
             cfg("zd", {"probs": [0.9, 0.1], "d": 3, "n_grid": [2, 4]})
         assert any("does not match len(probs)" in p for p in info.value.problems)
@@ -326,6 +326,50 @@ class TestMain:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["u1-fom", "--config", str(tmp_path / "nope.json")]) == 1
+
+    def test_usage_errors_exit_1(self, tmp_path, capsys):
+        config = self.write(tmp_path, FOM_CONFIG)
+        for argv in (
+            ["u1-fom"],
+            ["u1-fom", "--config", config, "--jobs", "x"],
+            ["u1-fom", "--config", config, "--format", "yaml"],
+            ["u2-fom", "--config", config],
+        ):
+            assert main(argv) == 1, argv
+            assert "usage:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["u1-fom", "--help"])
+        assert info.value.code == 0
+
+    @pytest.mark.parametrize(
+        "schedule, n_grid",
+        [({"c": 1e308}, [50, 100]), ({"a": 0.5}, [50, 10**400])],
+        ids=["huge-slope", "huge-n"],
+    )
+    def test_schedule_overflow_is_a_config_error(self, tmp_path, capsys, schedule, n_grid):
+        payload = {**FOM_CONFIG, "n_grid": n_grid, "m_schedule": schedule}
+        assert main(["u1-rates", "--config", self.write(tmp_path, payload)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: m_schedule: ") and "overflows" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "experiment, payload, problem",
+        [
+            ("zd", {"probs": [10**400, 0.5], "n_grid": [2]}, "probs: entries must be finite numbers"),
+            (
+                "mixed-oracle",
+                {"target": MIXED_TARGET, "m_grid": [1], "gamma_grid": [0.1, -10**400]},
+                "gamma_grid: expected a nonempty list of finite numbers",
+            ),
+        ],
+        ids=["zd-probs", "gamma-grid"],
+    )
+    def test_integer_beyond_float_range_is_a_config_error(
+        self, tmp_path, capsys, experiment, payload, problem
+    ):
+        assert main([experiment, "--config", self.write(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
 
     def test_partial_failure_exit_codes(self, tmp_path, capsys):
         degenerate = {**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}}

@@ -30,6 +30,7 @@ from phaseconv import (
     uhlmann_fidelity,
 )
 from phaseconv.distributions import char_fn, convolve, moments
+from phaseconv import mixed
 from phaseconv.mixed import embedded_density
 
 FAIR0 = standardize(IntDistribution(0, np.array([0.5, 0.5])))
@@ -405,3 +406,14 @@ class TestExactEmbedding:
     def test_dim_cap(self):
         with pytest.raises(ResourceCapError):
             exact_mixed_fidelity_small(HALF_HALF, 3, 0.1, dim_cap=16)
+
+    def test_dim_cap_refuses_before_building_the_density(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("embedded_density called on a refused row")
+
+        monkeypatch.setattr(mixed, "embedded_density", fail)
+        far = standardize(IntDistribution(3000, np.array([0.5, 0.5])))
+        target = MixedTarget((FAIR0, far), (0.5, 0.5))
+        with pytest.raises(ResourceCapError) as info:
+            exact_mixed_fidelity_small(target, 1, 0.1)
+        assert str(info.value) == "embedding dimension 6004^1 = 6004 exceeds dim_cap 4096"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,17 +24,18 @@ from phaseconv import (
     posterior_density_gauss,
     posterior_density_grid,
     posterior_gauss_distance,
-    rate_analysis,
     rate_verdict,
     sample_gamma,
     standardize,
     wrap_angle,
 )
+from phaseconv.cli import exit_code_for, parse_config, run_sweep
 from phaseconv.distributions import char_fn, power_convolve
+from phaseconv.errors import ConfigValidationError
 
 TWO_PI = 2 * math.pi
 FAIR = standardize(IntDistribution(0, np.array([0.5, 0.5])))
-VACUUM = standardize(IntDistribution.delta(0), allow_gapped=True)
+VACUUM = standardize(IntDistribution.delta(0))
 
 
 class TestStandardize:
@@ -46,12 +48,9 @@ class TestStandardize:
         assert VACUUM.asymmetry_free
         assert VACUUM.variance == 0.0
 
-    def test_gap_rejected_unless_allowed(self):
-        gapped = IntDistribution(0, np.array([0.5, 0.0, 0.5]))
+    def test_gap_rejected(self):
         with pytest.raises(GappedSpectrumError):
-            standardize(gapped)
-        state = standardize(gapped, allow_gapped=True)
-        assert state.variance == pytest.approx(1.0)
+            standardize(IntDistribution(0, np.array([0.5, 0.0, 0.5])))
 
     def test_negative_offset_rejected(self):
         with pytest.raises(NegativeOffsetError):
@@ -347,28 +346,41 @@ class TestRateSchedules:
                 RateSchedule(kind, value)
 
     def test_unit_exponent_equals_unit_slope(self):
-        a = rate_analysis(FAIR, FAIR, RateSchedule("power", 1.0), [100, 200])
-        c = rate_analysis(FAIR, FAIR, RateSchedule("linear", 1.0), [100, 200])
-        assert a.rows == c.rows
+        grid = (100, 200, 12345)
+        a = [RateSchedule("power", 1.0).m_for(n) for n in grid]
+        c = [RateSchedule("linear", 1.0).m_for(n) for n in grid]
+        assert a == c == list(grid)
+
+
+def rates_sweep(n_grid, m_schedule, **keys):
+    """The rates table: a `u1-rates` sweep of the fair bit into itself."""
+    fair = {"probs": [0.5, 0.5]}
+    payload = {"source": fair, "target": fair, "n_grid": n_grid, "m_schedule": m_schedule, **keys}
+    return run_sweep(parse_config(json.dumps(payload), "u1-rates"))
 
 
 class TestRateAnalysis:
     def test_sublinear_converges(self):
-        report = rate_analysis(FAIR, FAIR, RateSchedule("power", 0.5), [400, 1600, 6400])
-        vals = [row.f_exact for row in report.rows]
+        result = rates_sweep([400, 1600, 6400], {"a": 0.5})
+        assert [row["M"] for row in result.rows] == [20, 40, 80]
+        vals = [row["f_exact"] for row in result.rows]
         assert vals[0] < vals[1] < vals[2]
-        assert report.verdict == "converges"
-        gaps = [abs(row.f_exact - row.f_closed) for row in report.rows]
+        assert result.metadata["verdict"] == "converges"
+        gaps = [abs(row["gap"]) for row in result.rows]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_linear_plateaus(self):
-        report = rate_analysis(FAIR, FAIR, RateSchedule("linear", 1.0), [500, 1000, 2000])
-        assert report.verdict == "plateaus"
-        assert report.rows[-1].f_exact == pytest.approx(1 / math.sqrt(1.5), abs=0.01)
+        result = rates_sweep([500, 1000, 2000], {"c": 1.0})
+        assert result.metadata["verdict"] == "plateaus"
+        assert result.rows[-1]["f_exact"] == pytest.approx(1 / math.sqrt(1.5), abs=0.01)
 
     def test_fft_cap(self):
-        with pytest.raises(ResourceCapError):
-            rate_analysis(FAIR, FAIR, RateSchedule("power", 0.5), [400, 1600], fft_cap=256)
+        result = rates_sweep([400, 1600], {"a": 0.5}, fft_cap=256)
+        fits, capped = result.rows
+        assert fits["error"] is None
+        assert capped["error"] == "support estimate 336 exceeds fft_cap 256 at N=1600, M=40"
+        assert exit_code_for(result.rows) == 3
+        assert result.metadata["verdict"] == "indeterminate"
         with pytest.raises(ResourceCapError):
             ensure_fft_cap(FAIR, 10**7, FAIR, 1, 2**14)
 
@@ -380,10 +392,10 @@ class TestRateAnalysis:
         assert rate_verdict([0.99]) == "converges"
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            rate_analysis(FAIR, FAIR, RateSchedule("power", 0.5), [])
-        with pytest.raises(ValueError):
-            rate_analysis(FAIR, FAIR, RateSchedule("power", 0.5), [400, 400])
+        for n_grid in ([], [400, 400]):
+            with pytest.raises(ConfigValidationError) as info:
+                rates_sweep(n_grid, {"a": 0.5})
+            assert any(p.startswith("n_grid:") for p in info.value.problems)
 
 
 class TestWrapAngle:

@@ -36,13 +36,13 @@ class TestCyclicCoeffs:
             CyclicCoeffs(np.array([1.1, -0.1]))
         with pytest.raises(ValueError):
             CyclicCoeffs(np.array([1.0]))  # d >= 2
-        with pytest.raises(ValueError):
-            CyclicCoeffs(np.array([0.5, 0.5]), epsilon=1.5)
 
     def test_degenerate_flag(self):
-        assert CyclicCoeffs(np.array([0.5, 0.5]), epsilon=1.0).degenerate
-        assert not CyclicCoeffs(np.array([0.5, 0.5]), epsilon=0.8).degenerate
-        assert not CyclicCoeffs(np.array([0.5, 0.5])).degenerate
+        # rate 1 exactly when the support lies in a coset of a proper subgroup
+        for probs in ([0.0, 1.0, 0.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7]):
+            assert contraction_rate(CyclicCoeffs(np.array(probs))) == pytest.approx(1.0, abs=1e-12)
+        for probs in ([0.5, 0.5], [0.6, 0.4, 0.0, 0.0], [0.0, 0.5, 0.5]):
+            assert contraction_rate(CyclicCoeffs(np.array(probs))) < 1.0 - 1e-6
 
     def test_dimension(self):
         assert BIASED.d == 2
@@ -85,7 +85,6 @@ class TestCanonicalCoeffs:
     def test_two_copy_example(self):
         out = canonical_coeffs(BIASED, 2)
         np.testing.assert_allclose(out.probs, [0.82, 0.18], atol=1e-12)
-        assert out.epsilon == pytest.approx(0.8, abs=1e-12)
 
     def test_uniform_fixed_point(self):
         u = CyclicCoeffs(np.full(3, 1 / 3))
@@ -96,7 +95,7 @@ class TestCanonicalCoeffs:
         p = CyclicCoeffs(np.array([1.0, 0.0, 0.0]))
         out = canonical_coeffs(p, 5)
         np.testing.assert_allclose(out.probs, [1.0, 0.0, 0.0], atol=1e-12)
-        assert out.degenerate
+        assert contraction_rate(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_copy_identity(self):
         out = canonical_coeffs(BIASED, 1)
