@@ -177,7 +177,8 @@ def power_convolve(
         )
     if drift > mass_warn:
         warnings.warn(
-            f"power_convolve mass drift {drift:.3e} above {mass_warn:.1e}; renormalized",
+            f"power_convolve mass drift {drift:.3e} above {mass_warn:.1e} for N={n_copies}; "
+            "renormalized",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -1,4 +1,6 @@
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,6 +35,26 @@ MIXED_TARGET = {
 
 def cfg(experiment, payload):
     return parse_config(json.dumps(payload), experiment)
+
+
+@pytest.fixture
+def pooled_n(monkeypatch):
+    """The N of every row that a sweep hands to a worker pool."""
+    pooled = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def map(self, fn, rows):
+            pooled.extend(row["N"] for row in rows)
+            return super().map(fn, rows)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return pooled
+
+
+def set_clock(monkeypatch, readings):
+    """Make the sweep clock return ``readings``, then 1e9 from there on."""
+    clock = itertools.chain(readings, itertools.repeat(1e9))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock.__next__))
 
 
 class TestParseConfig:
@@ -136,6 +158,21 @@ class TestHeaders:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize(
+        "readings, pooled",
+        [([0, 0, 0.01, 0.06], [6, 8, 10]), ([0, 0, 0.01, 0.02, 0.06], [])],
+        ids=["rows-left-pay", "rows-left-too-few"],
+    )
+    def test_pool_only_for_rows_that_pay_for_it(self, monkeypatch, pooled_n, readings, pooled):
+        # past the 0.05 s budget, three rows left after two that took 0.06 s
+        # promise 0.09 s of work; two left after three promise only 0.04 s
+        set_clock(monkeypatch, readings)
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0.05)
+        result = run_sweep(cfg("zd", {"probs": [0.7, 0.3], "n_grid": [2, 4, 6, 8, 10]}), jobs=2)
+        assert [row["N"] for row in result.rows] == [2, 4, 6, 8, 10]
+        assert exit_code_for(result.rows) == 0
+        assert pooled_n == pooled
+
     def test_fom_rows(self):
         result = run_sweep(cfg("u1-fom", FOM_CONFIG))
         assert [row["M"] for row in result.rows] == [8, 10, 15]
@@ -386,3 +423,58 @@ class TestMain:
         main(["u1-fom", "--config", config, "--out", str(out_a), "--jobs", "1"])
         main(["u1-fom", "--config", config, "--out", str(out_b), "--jobs", "3"])
         assert out_a.read_text() == out_b.read_text()
+
+    @pytest.mark.parametrize(
+        "experiment, payload, problem",
+        [
+            ("zd", {"probs": [1e308, 1e308], "n_grid": [2]},
+             "probs: probabilities sum to inf, expected 1"),
+            (
+                "mixed-oracle",
+                {"target": {**MIXED_TARGET, "weights": [1e308, 1e308]}, "m_grid": [1],
+                 "gamma_grid": [0.1]},
+                "target.weights: weights sum to inf, expected 1",
+            ),
+        ],
+        ids=["zd-probs", "mixture-weights"],
+    )
+    def test_overflowing_sum_is_a_config_error(self, tmp_path, capsys, experiment, payload, problem):
+        assert main([experiment, "--config", self.write(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+
+    def test_cheap_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a cheap sweep started a worker pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "rows.csv"
+        config = self.write(tmp_path, FOM_CONFIG)
+        assert main(["u1-fom", "--config", config, "--out", str(out), "--jobs", "2"]) == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "payload, code, pooled_error",
+        [
+            ({**FOM_CONFIG, "n_grid": [50, 100, 200], "fft_cap": 100}, 3, "fft_cap"),
+            ({**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}}, 2, "variance"),
+        ],
+        ids=["fft-cap", "failed-row"],
+    )
+    def test_spilled_rows_keep_errors_and_exit_code(
+        self, tmp_path, capsys, monkeypatch, pooled_n, payload, code, pooled_error
+    ):
+        # a clock that advances one second per reading passes a 2 s budget at
+        # the second row, so the first row runs in-process and the rest in a pool
+        set_clock(monkeypatch, itertools.count())
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 2)
+        config = self.write(tmp_path, payload)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(["u1-fom", "--config", config, "--out", str(out), "--jobs", jobs]) == code
+            outputs.append((out.read_text(), capsys.readouterr().err))
+        assert pooled_n == [100, 200]
+        assert outputs[0] == outputs[1]
+        csv_text, err = outputs[1]
+        assert pooled_error in csv_text.splitlines()[-1]
+        assert "row error: " in err

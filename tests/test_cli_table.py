@@ -40,6 +40,21 @@ class TestEveryExperiment:
         assert emit(serial) == emit(parallel)
         assert json.loads(emit(serial, "json"))["rows"] == json.loads(emit(parallel, "json"))["rows"]
 
+    def test_pooled_rows_match_serial(self, experiment, monkeypatch):
+        starts = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)
+        config = parse_config(json.dumps(MINIMAL[experiment]), experiment)
+        serial, pooled = run_sweep(config, jobs=1), run_sweep(config, jobs=2)
+        assert starts == [2]
+        assert emit(serial) == emit(pooled)
+
     def test_each_required_key_reported_missing(self, experiment):
         for key in MINIMAL[experiment]:
             payload = {k: v for k, v in MINIMAL[experiment].items() if k != key}
