@@ -8,9 +8,9 @@ Experiments: u1-fom, u1-posterior, u1-rates, zd, mixed-bound, mixed-oracle.
 The config is a JSON object; unknown keys are rejected and validation reports
 every problem at once.  Sweep rows are independent, so failures land in an
 ``error`` column instead of aborting the run, and the row order never depends
-on the parallelism degree.  Rows run in-process until a sweep has run
-`POOL_AFTER_S` and the rows left look as costly, then in at most ``--jobs``
-workers; the output depends on neither.
+on the parallelism degree.  A sweep runs in at most ``--jobs`` workers once
+its estimated work reaches `POOL_POINTS`, in-process otherwise; the output
+depends on neither.
 
 Exit codes: 0 success, 1 usage, validation or I/O error, 2 some rows failed,
 3 some rows hit a resource cap.
@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .distributions import IntDistribution
+from .distributions import IntDistribution, power_support_bound
 from .errors import (
     CombinatorialBlowupError,
     ConfigValidationError,
@@ -47,9 +47,11 @@ from .mixed import (
     DEFAULT_CLASS_CAP,
     DEFAULT_DIM_CAP,
     MixedTarget,
+    epsilon_schedule,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
     figure_of_merit_mixed_bound,
+    type_class_estimate,
 )
 from .u1 import (
     CONVERGENCE_THRESHOLD,
@@ -81,12 +83,16 @@ _REQUIRED = object()
 # optional keys for which a JSON null reads as absent, so that the default applies
 _NULL_IS_DEFAULT = {"grid_points", "epsilon"}
 
-# Seconds a sweep runs in-process before its remaining rows may go to a worker
-# pool, and the least work those rows must promise.  Starting a fork pool of
-# two workers, mapping two trivial rows and shutting it down took 7-18 ms
-# (median 11 ms, 20 starts, phaseconv loaded; 2-CPU VM, Python 3.11.7,
-# NumPy 2.4.6), and two workers save at most half of the work they take over.
-POOL_AFTER_S = 0.05
+# Estimated work (`Experiment.work`, summed over a sweep's rows) from which the
+# rows go to a worker pool.  Measured on a 2-CPU VM (Python 3.11.7, NumPy
+# 2.4.6, OpenBLAS), in-process against a fork pool of two workers (7-18 ms to
+# start), in ms over two rounds: u1-posterior grids of 1.1e6, 2.1e6 and 4.2e6
+# points 143-150 / 132-195, 250-286 / 155-209 and 548-688 / 357-433; u1-rates
+# at 0.6e6 points 107-117 / 96-120; u1-fom Monte Carlo at 1.6e6 points
+# 213-243 / 258-309; exact mixed-bound at 5.1e6 and 16e6 points 236-264 /
+# 290-332 and 1030-1106 / 968-1001.  Those sweeps ran at 46-135 ns a point,
+# so the budget is 0.1-0.3 s of rows; the benchmark's largest sweep is 0.9e6.
+POOL_POINTS = 2_000_000
 
 
 class SweepConfig(SimpleNamespace):
@@ -279,6 +285,20 @@ def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = N
         row["f_mc"], row["f_mc_stderr"] = est, err
 
 
+def _fom_work(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = None) -> int:
+    """The supports of both convolution powers, plus the Monte Carlo phase-sum terms."""
+    sizes = (
+        power_support_bound(config.source.spectrum, row["N"]),
+        power_support_bound(config.target.spectrum, row["M"]),
+    )
+    if max(sizes) > config.fft_cap:
+        return 0  # refused before any work
+    work = sum(sizes)
+    if "mc" in (methods or config.methods):
+        work += config.mc_draws * len(config.target.spectrum)
+    return work
+
+
 def _posterior_row(config: SweepConfig, row: dict) -> None:
     spec = PosteriorSpec.for_copies(config.source, row["N"])
     row["tv_exact_gauss"] = posterior_gauss_distance(spec, config.grid_points)
@@ -298,6 +318,18 @@ def _bound_row(config: SweepConfig, row: dict) -> None:
     row["delta_rho"] = res.decomposition.residual_mass
     row["epsilon"] = res.decomposition.epsilon_used
     row["n_classes"] = res.decomposition.n_classes
+
+
+def _bound_work(config: SweepConfig, row: dict) -> int:
+    """The posterior grid, plus one grid-long product per class for the exact bound."""
+    support = power_support_bound(config.source.spectrum, row["N"])
+    points = config.grid_points or max(4097, 2 * support + 3)
+    m = row["M"]
+    eps = config.epsilon if config.epsilon is not None else epsilon_schedule(max(m, 2))
+    classes = type_class_estimate(config.target.rank, m, eps)
+    if classes > config.class_cap:
+        return 0  # refused before any work
+    return support + points + classes * (points if config.bound_method == "exact" else 1)
 
 
 def _oracle_row(config: SweepConfig, row: dict) -> None:
@@ -355,6 +387,8 @@ class Experiment:
     key columns and ``row`` fills in the rest of a row in place, calling the
     library through this module's globals so that it can be traced or
     patched here.  ``metadata`` summarizes the rows for the JSON output.
+    ``work`` estimates a row's work in points, the unit of `POOL_POINTS`,
+    from its inputs alone; rows that a worker pool does not pay for count 0.
     """
 
     keys: tuple[tuple[str, Callable, object], ...]
@@ -362,6 +396,7 @@ class Experiment:
     row_keys: Callable[[SweepConfig], list[dict]]
     row: Callable[[SweepConfig, dict], None]
     metadata: Callable[[SweepConfig, list[dict]], dict] = lambda config, rows: {}
+    work: Callable[[SweepConfig, dict], int] = lambda config, row: 0
 
 
 _POSITIVE_INT = _check(lambda v: _is_int(v) and v >= 1, "a positive integer")
@@ -392,13 +427,15 @@ EXPERIMENTS = {
              DEFAULT_MC_DRAWS),
             _FFT_CAP,
         ),
-        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row,
+        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row, work=_fom_work,
     ),
     "u1-posterior": Experiment(
         keys=(_SOURCE, _N_GRID, ("grid_points", _GRID_POINTS, 8192)),
         header=("N", "tv_exact_gauss"),
         row_keys=lambda config: [{"N": n} for n in config.n_grid],
         row=_posterior_row, metadata=_posterior_metadata,
+        work=lambda config, row: config.grid_points
+        + power_support_bound(config.source.spectrum, row["N"]),
     ),
     "u1-rates": Experiment(
         keys=(
@@ -409,6 +446,7 @@ EXPERIMENTS = {
         ),
         header=_FOM_HEADER, row_keys=_n_m_keys,
         row=partial(_fom_row, methods=("exact", "closed")), metadata=_rates_metadata,
+        work=partial(_fom_work, methods=("exact", "closed")),
     ),
     "zd": Experiment(
         keys=(
@@ -419,6 +457,8 @@ EXPERIMENTS = {
         header=("d", "N", "success_prob", "epsilon"),
         row_keys=lambda config: [{"d": config.probs.d, "N": n} for n in config.n_grid],
         row=_zd_row, metadata=_zd_metadata,
+        # work stays 0: a row takes about 0.1 ms, less than a pool spends passing
+        # it to a worker; 600 rows took 80 ms in-process and 540 ms in a pool
     ),
     "mixed-bound": Experiment(
         # None defers to the library: epsilon ((ln M)/M)^(1/4), grid_points max(4097, 2*span+3)
@@ -428,7 +468,7 @@ EXPERIMENTS = {
             ("class_cap", _POSITIVE_INT, DEFAULT_CLASS_CAP),
         ),
         header=("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
-        row_keys=_n_m_keys, row=_bound_row,
+        row_keys=_n_m_keys, row=_bound_row, work=_bound_work,
         metadata=lambda config, rows: {"bound_method": config.bound_method},
     ),
     "mixed-oracle": Experiment(
@@ -452,6 +492,9 @@ EXPERIMENTS = {
         metadata=lambda config, rows: {
             "bound_method": config.bound_method, "epsilon": config.epsilon
         },
+        # work stays 0: the dense eigendecompositions already run on every core
+        # through BLAS, and a 3x3 grid took 0.1 s in-process against 0.15-4.5 s
+        # in a pool of two on a 2-CPU VM
     ),
 }
 
@@ -515,28 +558,31 @@ def _compute_row(config: SweepConfig, row: dict) -> dict:
     return row
 
 
+def _row_work(experiment: Experiment, config: SweepConfig, key: dict) -> int:
+    try:
+        return experiment.work(config, key)
+    except OverflowError:
+        return 0  # an N or M beyond float range: the row fails at once
+
+
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run all rows of a sweep; deterministic given (config, seed), any jobs value.
 
-    Rows run in-process, in grid order.  Once the sweep has run for
-    `POOL_AFTER_S`, and at least two rows remain that at the mean row cost so
-    far would take that long again, they go to a pool of at most ``jobs``
-    workers and their results are appended in order.
+    A sweep of two rows or more whose estimated work reaches `POOL_POINTS`
+    runs in a pool of at most ``jobs`` workers; every other sweep runs
+    in-process.  The decision reads the config alone, never the clock.
     """
     start = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
     keys = experiment.row_keys(config)
     worker = partial(_compute_row, config)
-    rows = []
-    for i, key in enumerate(keys):
-        left, elapsed = len(keys) - i, time.perf_counter() - start
-        # the rows left must also look, at the mean cost of the rows so far, like
-        # another budget of work: two workers then save more than a pool start
-        if jobs > 1 and left > 1 and elapsed >= POOL_AFTER_S and elapsed * left >= POOL_AFTER_S * i:
-            with ProcessPoolExecutor(max_workers=min(jobs, left)) as pool:
-                rows += pool.map(worker, keys[i:])
-            break
-        rows.append(worker(key))
+    if jobs > 1 and len(keys) > 1 and (
+        sum(_row_work(experiment, config, key) for key in keys) >= POOL_POINTS
+    ):
+        with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
+            rows = list(pool.map(worker, keys))
+    else:
+        rows = [worker(k) for k in keys]
     header = result_header(config.experiment, getattr(config, "methods", ()))
     result = SweepResult(config.experiment, header, rows, experiment.metadata(config, rows))
     result.metadata.update(
@@ -619,10 +665,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
         p.add_argument("--jobs", type=int, default=None,
-                       help="maximum worker processes (default: CPU count); rows run "
-                       f"in-process until the sweep has run {POOL_AFTER_S} s and the rows "
-                       "left look like as much work again, and the output never depends "
-                       "on either")
+                       help="maximum worker processes (default: CPU count); a sweep "
+                       "starts them only if its estimated work reaches "
+                       "cli.POOL_POINTS, and its output is the same either way")
     return parser
 
 

@@ -95,6 +95,16 @@ class TypicalDecomposition:
         return len(self.counts)
 
 
+def type_class_estimate(rank: int, m_copies: int, epsilon: float) -> int:
+    """Size estimate of the epsilon-typical set, made before enumerating anything.
+
+    The smaller of the count of all compositions of M into ``rank`` parts
+    and a box of 2 floor(eps M) + 1 values in each free coordinate.
+    """
+    per_coord = 2 * math.floor(epsilon * m_copies) + 1
+    return min(math.comb(m_copies + rank - 1, rank - 1), per_coord ** max(rank - 1, 1))
+
+
 def typical_decomposition(
     target: MixedTarget,
     m_copies: int,
@@ -117,9 +127,7 @@ def typical_decomposition(
         raise ValueError(f"epsilon must be positive, got {eps}")
     r = target.rank
     t = np.array(target.weights)
-    # cheap size estimates before enumerating anything
-    per_coord = 2 * math.floor(eps * m_copies) + 1
-    estimate = min(math.comb(m_copies + r - 1, r - 1), per_coord ** max(r - 1, 1))
+    estimate = type_class_estimate(r, m_copies, eps)
     if estimate > class_cap:
         raise CombinatorialBlowupError(
             f"about {estimate} type classes at M={m_copies}, rank {r}; cap is {class_cap}"

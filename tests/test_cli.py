@@ -1,6 +1,4 @@
-import itertools
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from phaseconv.cli import (
     result_header,
     run_sweep,
 )
+from phaseconv.distributions import power_support_bound
 
 FOM_CONFIG = {
     "source": {"probs": [0.5, 0.5], "offset": 0},
@@ -51,10 +50,13 @@ def pooled_n(monkeypatch):
     return pooled
 
 
-def set_clock(monkeypatch, readings):
-    """Make the sweep clock return ``readings``, then 1e9 from there on."""
-    clock = itertools.chain(readings, itertools.repeat(1e9))
-    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock.__next__))
+@pytest.fixture
+def no_pool(monkeypatch):
+    """A `cli.ProcessPoolExecutor` stand-in that fails the test if a sweep starts a pool."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started a worker pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
 
 
 class TestParseConfig:
@@ -158,20 +160,39 @@ class TestHeaders:
 
 
 class TestRunSweep:
-    @pytest.mark.parametrize(
-        "readings, pooled",
-        [([0, 0, 0.01, 0.06], [6, 8, 10]), ([0, 0, 0.01, 0.02, 0.06], [])],
-        ids=["rows-left-pay", "rows-left-too-few"],
-    )
-    def test_pool_only_for_rows_that_pay_for_it(self, monkeypatch, pooled_n, readings, pooled):
-        # past the 0.05 s budget, three rows left after two that took 0.06 s
-        # promise 0.09 s of work; two left after three promise only 0.04 s
-        set_clock(monkeypatch, readings)
-        monkeypatch.setattr(cli, "POOL_AFTER_S", 0.05)
-        result = run_sweep(cfg("zd", {"probs": [0.7, 0.3], "n_grid": [2, 4, 6, 8, 10]}), jobs=2)
-        assert [row["N"] for row in result.rows] == [2, 4, 6, 8, 10]
+    @pytest.mark.parametrize("margin, pooled", [(0, [16, 32, 64]), (1, [])], ids=["reaches", "short"])
+    def test_pool_once_estimated_work_reaches_budget(self, monkeypatch, pooled_n, margin, pooled):
+        # a u1-posterior row's work is its grid plus the support bound of its N-copy power
+        config = cfg("u1-posterior", {"source": FOM_CONFIG["source"], "n_grid": [16, 32, 64],
+                                      "grid_points": 256})
+        work = sum(256 + power_support_bound(config.source.spectrum, n) for n in (16, 32, 64))
+        monkeypatch.setattr(cli, "POOL_POINTS", work + margin)
+        result = run_sweep(config, jobs=2)
+        assert [row["N"] for row in result.rows] == [16, 32, 64]
         assert exit_code_for(result.rows) == 0
         assert pooled_n == pooled
+
+    @pytest.mark.parametrize(
+        "experiment, payload",
+        [
+            ("zd", {"probs": [0.7, 0.3], "n_grid": [2, 4, 6]}),
+            ("mixed-oracle", {"target": MIXED_TARGET, "m_grid": [1, 2], "gamma_grid": [0.1, 0.2]}),
+        ],
+    )
+    def test_rows_without_work_estimate_never_pool(self, monkeypatch, no_pool, experiment, payload):
+        monkeypatch.setattr(cli, "POOL_POINTS", 1)
+        result = run_sweep(cfg(experiment, payload), jobs=2)
+        assert exit_code_for(result.rows) == 0
+
+    def test_rows_refused_or_beyond_float_range_count_no_work(self, monkeypatch, no_pool):
+        fom = cli.EXPERIMENTS["u1-fom"]
+        capped = cfg("u1-fom", {**FOM_CONFIG, "fft_cap": 100})
+        assert fom.work(capped, {"N": 100, "M": 10}) > 0
+        assert fom.work(capped, {"N": 200, "M": 15}) == 0
+        monkeypatch.setattr(cli, "POOL_POINTS", 1)
+        huge = {**FOM_CONFIG, "n_grid": [10**400, 10**401], "m_schedule": {"list": [5, 6]}}
+        result = run_sweep(cfg("u1-fom", huge), jobs=2)
+        assert all("float" in row["error"] for row in result.rows)
 
     def test_fom_rows(self):
         result = run_sweep(cfg("u1-fom", FOM_CONFIG))
@@ -442,11 +463,7 @@ class TestMain:
         assert main([experiment, "--config", self.write(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == f"config error: {problem}\n"
 
-    def test_cheap_sweep_starts_no_pool(self, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a cheap sweep started a worker pool")
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    def test_cheap_sweep_starts_no_pool(self, tmp_path, no_pool):
         out = tmp_path / "rows.csv"
         config = self.write(tmp_path, FOM_CONFIG)
         assert main(["u1-fom", "--config", config, "--out", str(out), "--jobs", "2"]) == 0
@@ -460,20 +477,17 @@ class TestMain:
         ],
         ids=["fft-cap", "failed-row"],
     )
-    def test_spilled_rows_keep_errors_and_exit_code(
+    def test_pooled_rows_keep_errors_and_exit_code(
         self, tmp_path, capsys, monkeypatch, pooled_n, payload, code, pooled_error
     ):
-        # a clock that advances one second per reading passes a 2 s budget at
-        # the second row, so the first row runs in-process and the rest in a pool
-        set_clock(monkeypatch, itertools.count())
-        monkeypatch.setattr(cli, "POOL_AFTER_S", 2)
+        monkeypatch.setattr(cli, "POOL_POINTS", 0)
         config = self.write(tmp_path, payload)
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}.csv"
             assert main(["u1-fom", "--config", config, "--out", str(out), "--jobs", jobs]) == code
             outputs.append((out.read_text(), capsys.readouterr().err))
-        assert pooled_n == [100, 200]
+        assert pooled_n == [50, 100, 200]
         assert outputs[0] == outputs[1]
         csv_text, err = outputs[1]
         assert pooled_error in csv_text.splitlines()[-1]

@@ -49,7 +49,7 @@ class TestEveryExperiment:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(cli, "POOL_AFTER_S", 0)
+        monkeypatch.setattr(cli, "POOL_POINTS", 0)
         config = parse_config(json.dumps(MINIMAL[experiment]), experiment)
         serial, pooled = run_sweep(config, jobs=1), run_sweep(config, jobs=2)
         assert starts == [2]
