@@ -7,7 +7,7 @@ Library layout:
 - `u1`: misalignment posterior, pure-target fidelities, figures of merit,
   yield schedules M(N) and their convergence verdict.
 - `mixed`: typical-type-class decomposition, certified mixed-target bounds,
-  Uhlmann-fidelity oracles.
+  the exact mixed-target fidelity and its dense Uhlmann-fidelity oracle.
 - `zd`: exact cyclic-group protocol with geometric convergence.
 - `cli`: the `phaseconv` sweep runner.
 """
@@ -39,7 +39,6 @@ from .errors import (
     ZeroVarianceError,
 )
 from .mixed import (
-    DensityMatrix,
     MixedTarget,
     TypicalDecomposition,
     epsilon_schedule,

@@ -45,7 +45,6 @@ from .errors import (
 )
 from .mixed import (
     DEFAULT_CLASS_CAP,
-    DEFAULT_DIM_CAP,
     MixedTarget,
     epsilon_schedule,
     exact_mixed_fidelity_small,
@@ -153,8 +152,6 @@ def _take_prob_list(problems: list, f: str, value, *_, min_len: int = 1):
     total = _total(value)
     if abs(total - 1.0) > 1e-9:
         return _fail(problems, f"{f}: probabilities sum to {total:.6g}, expected 1")
-    if max(value) == 0:
-        return _fail(problems, f"{f}: all entries are zero")
     return tuple(value)
 
 
@@ -334,7 +331,7 @@ def _bound_work(config: SweepConfig, row: dict) -> int:
 
 def _oracle_row(config: SweepConfig, row: dict) -> None:
     m, gamma = row["M"], row["gamma"]
-    row["f_exact"] = exact_mixed_fidelity_small(config.target, m, gamma, dim_cap=config.dim_cap)
+    row["f_exact"] = exact_mixed_fidelity_small(config.target, m, gamma)
     row["f_bound"] = fidelity_mixed_lower_bound(
         config.target, m, gamma, epsilon=config.epsilon, method=config.bound_method
     )
@@ -482,7 +479,6 @@ EXPERIMENTS = {
             ), _REQUIRED),
             ("epsilon", _EPSILON, 2.0),
             ("bound_method", _BOUND_METHOD, "exact"),
-            ("dim_cap", _POSITIVE_INT, DEFAULT_DIM_CAP),
         ),
         header=("M", "gamma", "f_exact", "f_bound"),
         row_keys=lambda config: [
@@ -492,9 +488,10 @@ EXPERIMENTS = {
         metadata=lambda config, rows: {
             "bound_method": config.bound_method, "epsilon": config.epsilon
         },
-        # work stays 0: the dense eigendecompositions already run on every core
-        # through BLAS, and a 3x3 grid took 0.1 s in-process against 0.15-4.5 s
-        # in a pool of two on a 2-CPU VM
+        # work stays 0: a rank-2 row takes about 0.2 ms at M = 3 and 19 ms at
+        # M = 4096, where the exact bound's loop over M + 1 classes dominates,
+        # against 9-22 ms to start a pool of two on a 2-CPU VM; only grids of
+        # many rows at M in the thousands could pay for a pool
     ),
 }
 
@@ -549,7 +546,8 @@ def _compute_row(config: SweepConfig, row: dict) -> dict:
     except (ResourceCapError, CombinatorialBlowupError) as exc:
         row["error"] = str(exc)
         row["_cap"] = True
-    # RuntimeError is what the dense oracle's multiplicativity guard raises
+    # RuntimeError and its subclasses (RecursionError, NotImplementedError) mark a
+    # computation that failed where no input check could foresee it
     except (
         PhaseconvError, ValueError, OverflowError, FloatingPointError, RuntimeError, MemoryError
     ) as exc:

@@ -7,6 +7,7 @@ import numpy as np
 
 from phaseconv import IntDistribution, MixedTarget, NumberState, standardize
 from phaseconv.distributions import convolve, power_convolve
+from phaseconv.mixed import embedded_density, uhlmann_fidelity
 
 
 def random_spectrum(rng, max_len: int = 6, max_offset: int = 3) -> IntDistribution:
@@ -61,6 +62,18 @@ def class_number_distribution(target: MixedTarget, counts) -> IntDistribution:
         if k > 0
     ]
     return reduce(convolve, parts)
+
+
+def kron_mixed_fidelity(target: MixedTarget, m: int, gamma: float) -> float:
+    """Oracle: F(tau^(x M), tau_gamma^(x M)) from Kronecker powers of the dense embedding.
+
+    The library uses the closed form (sum_k t_k |phi_k(gamma)|)^(2M); this
+    builds both M-copy operators, of dimension (single-copy dim)^M, and takes
+    their Uhlmann fidelity, so it only suits M = 2, 3 on small targets.
+    """
+    rho = reduce(np.kron, [embedded_density(target, 0.0)] * m)
+    shifted = reduce(np.kron, [embedded_density(target, gamma)] * m)
+    return uhlmann_fidelity(rho, shifted)
 
 
 def typical_classes_brute(target: MixedTarget, m: int, eps: float):

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -382,6 +384,32 @@ class TestMain:
         assert all(line.endswith(str(exc) or type(exc).__name__) for line in lines[1:])
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_oracle_at_the_copy_numbers_of_the_bound(self, tmp_path, capsys):
+        payload = {"target": MIXED_TARGET, "m_grid": [64, 256], "gamma_grid": [0.01, 0.1, 0.5]}
+        assert main(["mixed-oracle", "--config", self.write(tmp_path, {**payload, "dim_cap": 9})]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dim_cap: unknown key for experiment 'mixed-oracle'\n"
+        )
+        out = tmp_path / "rows.csv"
+        args = ["mixed-oracle", "--config", self.write(tmp_path, payload), "--out", str(out)]
+        assert main(args) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 6
+        for row in rows:
+            assert row["error"] == "" and float(row["f_bound"]) <= float(row["f_exact"]) + 1e-10
+
+    def test_oracle_row_beyond_class_cap_keeps_f_exact(self, tmp_path):
+        # the class-count estimate refuses the bound before any class is enumerated
+        payload = {"target": MIXED_TARGET, "m_grid": [2_000_000], "gamma_grid": [0.001]}
+        out = tmp_path / "rows.csv"
+        args = ["mixed-oracle", "--config", self.write(tmp_path, payload), "--out", str(out)]
+        assert main(args) == 3
+        [row] = csv.DictReader(out.read_text().splitlines())
+        # oracle: both components are fair bits, each with |phi(gamma)| = cos(gamma/2)
+        assert float(row["f_exact"]) == pytest.approx(math.cos(0.0005) ** 4_000_000, rel=1e-8)
+        assert row["f_bound"] == ""
+        assert row["error"] == "about 2000001 type classes at M=2000000, rank 2; cap is 1000000"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["u1-fom", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -450,6 +478,7 @@ class TestMain:
         [
             ("zd", {"probs": [1e308, 1e308], "n_grid": [2]},
              "probs: probabilities sum to inf, expected 1"),
+            ("zd", {"probs": [0, 0], "n_grid": [2]}, "probs: probabilities sum to 0, expected 1"),
             (
                 "mixed-oracle",
                 {"target": {**MIXED_TARGET, "weights": [1e308, 1e308]}, "m_grid": [1],
@@ -457,7 +486,7 @@ class TestMain:
                 "target.weights: weights sum to inf, expected 1",
             ),
         ],
-        ids=["zd-probs", "mixture-weights"],
+        ids=["zd-probs", "zd-all-zero", "mixture-weights"],
     )
     def test_overflowing_sum_is_a_config_error(self, tmp_path, capsys, experiment, payload, problem):
         assert main([experiment, "--config", self.write(tmp_path, payload)]) == 1

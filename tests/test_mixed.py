@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     class_number_distribution,
     direct_power,
+    kron_mixed_fidelity,
     random_density,
     random_mixture,
     random_state,
@@ -13,10 +14,8 @@ from conftest import (
 )
 from phaseconv import (
     CombinatorialBlowupError,
-    DensityMatrix,
     IntDistribution,
     MixedTarget,
-    ResourceCapError,
     TypicalDecomposition,
     epsilon_schedule,
     exact_mixed_fidelity_small,
@@ -25,6 +24,7 @@ from phaseconv import (
     figure_of_merit_closed,
     figure_of_merit_exact,
     figure_of_merit_mixed_bound,
+    fidelity_pure_exact,
     standardize,
     typical_decomposition,
     uhlmann_fidelity,
@@ -308,20 +308,6 @@ class TestMixedFigureOfMerit:
             assert -1e-12 <= res.f_bound <= 1 + 1e-9
 
 
-class TestDensityMatrix:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-        with pytest.raises(ValueError):
-            DensityMatrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))  # trace 2
-
-    def test_from_pure_normalizes(self):
-        dm = DensityMatrix.from_pure(np.array([2.0, 0.0]))
-        np.testing.assert_allclose(dm.matrix, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
-
-
 class TestUhlmannFidelity:
     def test_self_fidelity(self):
         rng = np.random.default_rng(18)
@@ -399,21 +385,50 @@ class TestExactEmbedding:
             f2 = exact_mixed_fidelity_small(target, 2, gamma)
             assert f2 == pytest.approx(f1**2, abs=1e-10)
 
-    def test_copy_limit(self):
-        with pytest.raises(ValueError):
-            exact_mixed_fidelity_small(HALF_HALF, 4, 0.1)
+    def test_closed_form_matches_dense_oracles(self):
+        # M=1 against the Uhlmann fidelity of the embedding itself, M=2, 3
+        # against Kronecker powers of it; offsets 0 and 1 make supports overlap
+        rng = np.random.default_rng(404)
+        worst = 0.0
+        for rank in (1, 2, 3):
+            for _ in range(4):
+                comps = [random_state(rng, max_len=3, max_offset=1) for _ in range(rank)]
+                target = MixedTarget(tuple(comps), tuple(rng.dirichlet(np.ones(rank))))
+                gamma = float(rng.uniform(-math.pi, math.pi))
+                rho, shifted = embedded_density(target), embedded_density(target, gamma)
+                oracles = [uhlmann_fidelity(rho, shifted)]
+                # rank 3 at M=3 would be a dense matrix of up to 1728 rows
+                copies = (2, 3) if rank < 3 else (2,)
+                oracles += [kron_mixed_fidelity(target, m, gamma) for m in copies]
+                for m, oracle in enumerate(oracles, start=1):
+                    worst = max(worst, abs(exact_mixed_fidelity_small(target, m, gamma) - oracle))
+        assert worst <= 1e-10
 
-    def test_dim_cap(self):
-        with pytest.raises(ResourceCapError):
-            exact_mixed_fidelity_small(HALF_HALF, 3, 0.1, dim_cap=16)
+    def test_rank_one_is_the_pure_fidelity(self):
+        # oracle: fidelity_pure_exact's |phi|^(2M) on the single component
+        rng = np.random.default_rng(405)
+        for _ in range(5):
+            state = random_state(rng, max_offset=50)
+            for m in (1, 2, 64, 4096):
+                for gamma in (0.001, 0.05, 0.7, 3.0):
+                    exact = exact_mixed_fidelity_small(MixedTarget.pure(state), m, gamma)
+                    assert exact == pytest.approx(
+                        fidelity_pure_exact(state, m, gamma), rel=1e-11, abs=1e-300
+                    )
 
-    def test_dim_cap_refuses_before_building_the_density(self, monkeypatch):
+    def test_far_offset_builds_no_embedding(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("embedded_density called on a refused row")
+            raise AssertionError("embedded_density called by the library")
 
         monkeypatch.setattr(mixed, "embedded_density", fail)
         far = standardize(IntDistribution(3000, np.array([0.5, 0.5])))
         target = MixedTarget((FAIR0, far), (0.5, 0.5))
-        with pytest.raises(ResourceCapError) as info:
-            exact_mixed_fidelity_small(target, 1, 0.1)
-        assert str(info.value) == "embedding dimension 6004^1 = 6004 exceeds dim_cap 4096"
+        # oracle: both components are fair bits, each with |phi(gamma)| = cos(gamma/2)
+        for m in (1, 4096):
+            assert exact_mixed_fidelity_small(target, m, 0.1) == pytest.approx(
+                math.cos(0.05) ** (2 * m), rel=1e-11
+            )
+
+    def test_needs_one_copy(self):
+        with pytest.raises(ValueError):
+            exact_mixed_fidelity_small(HALF_HALF, 0, 0.1)
