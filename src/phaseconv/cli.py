@@ -270,15 +270,20 @@ def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = N
     n, m = row["N"], row["M"]
     source, target = config.source, config.target
     ensure_fft_cap(source, n, target, m, config.fft_cap)
+    posterior = None
     if "exact" in methods:
-        row["f_exact"] = figure_of_merit_exact(source, n, target, m)
+        if "mc" in methods:  # one N-copy source spectrum serves both legs
+            posterior = PosteriorSpec.for_copies(source, n)
+        row["f_exact"] = figure_of_merit_exact(source, n, target, m, posterior=posterior)
     if "closed" in methods:
         row["f_closed"] = figure_of_merit_closed(source.variance, n, target.variance, m)
     if "exact" in methods and "closed" in methods:
         row["gap"] = row["f_exact"] - row["f_closed"]
     if "mc" in methods:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, m]))
-        est, err = figure_of_merit_mc(source, n, target, m, config.mc_draws, rng)
+        est, err = figure_of_merit_mc(
+            source, n, target, m, config.mc_draws, rng, posterior=posterior
+        )
         row["f_mc"], row["f_mc_stderr"] = est, err
 
 
@@ -556,6 +561,19 @@ def _compute_row(config: SweepConfig, row: dict) -> dict:
     return row
 
 
+# the sweep config of a pool's worker process, set once by `_adopt_config`
+_worker_config: SweepConfig | None = None
+
+
+def _adopt_config(config: SweepConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _compute_adopted_row(row: dict) -> dict:
+    return _compute_row(_worker_config, row)
+
+
 def _row_work(experiment: Experiment, config: SweepConfig, key: dict) -> int:
     try:
         return experiment.work(config, key)
@@ -573,14 +591,17 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     start = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
     keys = experiment.row_keys(config)
-    worker = partial(_compute_row, config)
     if jobs > 1 and len(keys) > 1 and (
         sum(_row_work(experiment, config, key) for key in keys) >= POOL_POINTS
     ):
-        with ProcessPoolExecutor(max_workers=min(jobs, len(keys))) as pool:
-            rows = list(pool.map(worker, keys))
+        # each worker receives the config once, so a task carries only its row
+        # key, and the worker's rows share the spectra's squaring ladders
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(keys)), initializer=_adopt_config, initargs=(config,)
+        ) as pool:
+            rows = list(pool.map(_compute_adopted_row, keys))
     else:
-        rows = [worker(k) for k in keys]
+        rows = [_compute_row(config, key) for key in keys]
     header = result_header(config.experiment, getattr(config, "methods", ()))
     result = SweepResult(config.experiment, header, rows, experiment.metadata(config, rows))
     result.metadata.update(
@@ -655,17 +676,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="phaseconv",
         description="Sweep runner for phase-asymmetry interconversion numerics.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for exp in EXPERIMENTS:
-        p = sub.add_parser(exp, help=f"run a {exp} sweep")
-        p.add_argument("--config", required=True, help="path to a JSON sweep config")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="maximum worker processes (default: CPU count); a sweep "
-                       "starts them only if its estimated work reaches "
-                       "cli.POOL_POINTS, and its output is the same either way")
+    parser.add_argument("experiment", choices=tuple(EXPERIMENTS), help="the sweep to run")
+    parser.add_argument("--config", required=True, help="path to a JSON sweep config")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="maximum worker processes (default: CPU count); a sweep "
+                        "starts them only if its estimated work reaches "
+                        "cli.POOL_POINTS, and its output is the same either way")
     return parser
 
 

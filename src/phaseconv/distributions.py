@@ -6,14 +6,26 @@ the cyclic coefficient vectors all live in the same representation, a mass
 vector plus an absolute integer offset.  Storing the offset keeps convolutions
 of shifted spectra exact.
 
-All operations are pure; `IntDistribution` values are immutable after
-construction and safe to share between worker processes.
+An `IntDistribution`'s offset and mass vector never change after
+construction, and every operation returns the same bits for the same inputs.
+The one state a distribution gains is the squaring ladder of
+`power_convolve`: the trimmed powers p^(2^k) it has built, kept per trim
+threshold so that later powers of the same object reuse them.  At the
+default threshold rung k is no longer than `power_support_bound` at 2^k
+copies, so the rungs sum to at most about 3.4 times `power_support_bound(p,
+N)` float64 values for the largest N taken (at large N, about 3.5 times the
+length of that power itself).  They are held until the distribution is
+freed, and left out of equality, repr, pickles and copies, so a distribution
+sent to a worker process arrives without them.  Threads may share a
+distribution: the ladder is published whole, as a longer tuple, so a reader
+sees only finished rungs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -63,6 +75,32 @@ class IntDistribution:
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "offset", int(self.offset))
+
+    def __getstate__(self):
+        # the squaring ladder is a cache, not part of the value
+        return {"offset": self.offset, "probs": self.probs}
+
+    def _squarings(self, count: int, trim_threshold: float) -> tuple:
+        """Rungs (offset, probs) of p^(2^k) for k < ``count``, built on first use.
+
+        Each rung squares the one before it and trims at ``trim_threshold``.
+        A longer ladder replaces the stored one in a single assignment, so
+        concurrent callers at worst build the same rungs twice.
+        """
+        ladders = self.__dict__.setdefault("_ladders", {})
+        rungs = ladders.get(trim_threshold, ((self.offset, self.probs),))
+        if len(rungs) < count:
+            built = list(rungs)
+            while len(built) < count:
+                offset, base = built[-1]
+                delta, square = _trim(0, _fft_square(base), trim_threshold)
+                square = square.copy()  # drop the trimmed edges' memory
+                square.flags.writeable = False
+                built.append((2 * offset + delta, square))
+            rungs = tuple(built)
+            if len(rungs) > len(ladders.get(trim_threshold, ())):
+                ladders[trim_threshold] = rungs
+        return rungs
 
     @classmethod
     def delta(cls, n: int) -> "IntDistribution":
@@ -129,6 +167,14 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, None)
 
 
+def _fft_square(a: np.ndarray) -> np.ndarray:
+    """``_fft_convolve(a, a)`` with one forward transform instead of two."""
+    out_len = 2 * a.size - 1
+    size = _fft_length(out_len)
+    spectrum = np.fft.rfft(a, size)
+    return np.clip(np.fft.irfft(spectrum * spectrum, size)[:out_len], 0.0, None)
+
+
 def power_convolve(
     p: IntDistribution,
     n_copies: int,
@@ -143,6 +189,12 @@ def power_convolve(
     results are clamped at zero and trimmed at ``trim_threshold``.  The final
     mass drift is renormalized silently below ``mass_warn``, renormalized with
     a warning up to ``mass_fail``, and rejected beyond that.
+
+    The squarings p, p^2, p^4, ... stay on ``p`` (see the module docstring):
+    a later power of the same object, at any ``n_copies``, reuses the rungs
+    already built and returns the bits it would have returned first.  They
+    hold at most about 3.4 times ``power_support_bound(p, n_copies)`` float64
+    values for the largest ``n_copies`` taken, until ``p`` is freed.
     """
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
@@ -153,21 +205,14 @@ def power_convolve(
 
     acc = None
     acc_off = 0
-    base = p.probs
-    base_off = p.offset
-    remaining = n_copies
-    while remaining:
-        if remaining & 1:
+    bits = operator.index(n_copies)
+    for k, (base_off, base) in enumerate(p._squarings(bits.bit_length(), trim_threshold)):
+        if bits >> k & 1:
             if acc is None:
                 acc, acc_off = base, base_off
             else:
-                acc_off += base_off
                 acc_off_delta, acc = _trim(0, _fft_convolve(acc, base), trim_threshold)
-                acc_off += acc_off_delta
-        remaining >>= 1
-        if remaining:
-            base_off_delta, base = _trim(0, _fft_convolve(base, base), trim_threshold)
-            base_off = 2 * base_off + base_off_delta
+                acc_off += base_off + acc_off_delta
 
     total = acc.sum()
     drift = abs(total - 1.0)

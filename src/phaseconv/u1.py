@@ -224,18 +224,35 @@ def _fom_exact_from(ncopy_src: IntDistribution, ncopy_tgt: IntDistribution) -> f
     return float(a[0] * b[0] + 2.0 * (a[1:lags] @ b[1:lags]))
 
 
+def _ncopy_posterior(
+    source: NumberState, n_copies: int, posterior: PosteriorSpec | None
+) -> PosteriorSpec:
+    if posterior is None:
+        return PosteriorSpec.for_copies(source, n_copies)
+    if posterior.n_copies != n_copies:
+        raise ValueError(f"posterior is for N={posterior.n_copies}, not N={n_copies}")
+    return posterior
+
+
 def figure_of_merit_exact(
-    source: NumberState, n_copies: int, target: NumberState, m_copies: int
+    source: NumberState,
+    n_copies: int,
+    target: NumberState,
+    m_copies: int,
+    *,
+    posterior: PosteriorSpec | None = None,
 ) -> float:
     """Posterior-averaged exact fidelity for converting N source to M target copies.
 
     Both factors of the integrand are trigonometric polynomials, so the
     average over gamma collapses to Sum_k A_k B_k with A the autocorrelation
     of the N-copy amplitude sequence and B the autocorrelation of the M-copy
-    probability sequence.  No quadrature is involved.
+    probability sequence.  No quadrature is involved.  A caller that holds
+    ``PosteriorSpec.for_copies(source, n_copies)`` may pass it as
+    ``posterior`` to skip rebuilding the N-copy spectrum.
     """
     return _fom_exact_from(
-        power_convolve(source.spectrum, n_copies),
+        _ncopy_posterior(source, n_copies, posterior).ncopy_spectrum,
         power_convolve(target.spectrum, m_copies),
     )
 
@@ -280,16 +297,18 @@ def figure_of_merit_mc(
     m_copies: int,
     draws: int,
     rng_seed,
+    *,
+    posterior: PosteriorSpec | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the figure of merit.
 
     Samples misalignments from the posterior and averages the exact fidelity;
     cross-validates the autocorrelation route.  Deterministic given the seed.
+    ``posterior`` is as in `figure_of_merit_exact`.
     """
     if draws < 100:
         raise ValueError(f"draws must be >= 100, got {draws}")
-    spec = PosteriorSpec.for_copies(source, n_copies)
-    gamma = sample_gamma(spec, rng_seed, size=draws)
+    gamma = sample_gamma(_ncopy_posterior(source, n_copies, posterior), rng_seed, size=draws)
     values = fidelity_pure_exact(target, m_copies, gamma)
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(draws))

@@ -1,4 +1,7 @@
 import math
+import pickle
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from conftest import direct_power, random_spectrum
 from phaseconv import PrecisionLossError, SupportTooNarrowError
+from phaseconv import distributions
 from phaseconv.distributions import (
     GaussianModel,
     IntDistribution,
@@ -138,6 +142,97 @@ class TestPowerConvolve:
         # a fair bit at N=10^7: 22,889 trimmed points against 10^7 + 1 untrimmed
         assert power_support_bound(FAIR, 10**7) == 26546
         assert power_support_bound(IntDistribution.delta(3), 10**7) == 1
+
+# copy numbers from 2 to about 5*10^5; many share low bits, so later powers reuse rungs
+LADDER_NS = (2, 3, 5, 8, 100, 1023, 1024, 4097, 65_535, 99_999, 123_457, 262_144, 500_001)
+LADDER_CASES = [
+    (FAIR, distributions.TRIM_THRESHOLD),
+    (IntDistribution(7, np.array([0.2, 0.5, 0.3])), 1e-12),
+]
+
+
+def _fresh_power(p, n, trim_threshold):
+    """The power of an equal distribution that has no ladder yet."""
+    return power_convolve(IntDistribution(p.offset, p.probs.copy()), n, trim_threshold=trim_threshold)
+
+
+@pytest.mark.filterwarnings("ignore:power_convolve mass drift")
+class TestSquaringLadder:
+    def test_one_transform_square_matches_two(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 3, 17, 1000, 4097):
+            a = rng.random(size)
+            assert np.array_equal(distributions._fft_square(a), distributions._fft_convolve(a, a))
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    @pytest.mark.parametrize("case", range(len(LADDER_CASES)), ids=["fair", "offset-trim"])
+    def test_reused_rungs_give_the_bits_of_a_fresh_copy(self, order, case):
+        p, trim = LADDER_CASES[case]
+        ns = list(LADDER_NS)
+        if order == "decreasing":
+            ns.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(11).shuffle(ns)
+        shared = IntDistribution(p.offset, p.probs.copy())
+        for n in ns:
+            got = power_convolve(shared, n, trim_threshold=trim)
+            want = _fresh_power(p, n, trim)
+            assert got.offset == want.offset, n
+            assert np.array_equal(got.probs, want.probs), n
+
+    def test_rungs_built_once_per_trim_threshold(self, monkeypatch):
+        squarings = []
+        square = distributions._fft_square
+        monkeypatch.setattr(
+            distributions, "_fft_square", lambda a: squarings.append(a.size) or square(a)
+        )
+        p = IntDistribution(2, np.array([0.2, 0.5, 0.3]))
+        counts = []
+        for n, trim in ((1000, 1e-15), (700, 1e-15), (5000, 1e-15), (1000, 1e-12)):
+            before = len(squarings)
+            power_convolve(p, n, trim_threshold=trim)
+            counts.append(len(squarings) - before)
+        # 1000 needs p^(2^k) up to k = 9; 5000 up to k = 12; another threshold starts over
+        assert counts == [9, 0, 3, 9]
+
+    def test_threads_sharing_a_distribution_get_the_serial_bits(self):
+        p = IntDistribution(1, np.array([0.1, 0.6, 0.3]))
+        # more threads than cores, at copy numbers whose ladders overlap
+        ns = (99_999, 500_001, 262_145, 123_457)
+        want = [_fresh_power(p, n, distributions.TRIM_THRESHOLD) for n in ns]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = IntDistribution(p.offset, p.probs.copy())
+                barrier = threading.Barrier(len(ns), timeout=60)
+                got = [None] * len(ns)
+
+                def run(i):
+                    barrier.wait()
+                    got[i] = power_convolve(shared, ns[i])
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(ns))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for g, w in zip(got, want):
+                    assert g.offset == w.offset and np.array_equal(g.probs, w.probs)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_ladder_not_part_of_the_value(self):
+        p = IntDistribution(3, np.array([0.25, 0.5, 0.25]))
+        pickled, text = pickle.dumps(p), repr(p)
+        power_convolve(p, 1000)
+        assert pickle.dumps(p) == pickled
+        assert repr(p) == text
+        clone = pickle.loads(pickle.dumps(p))
+        assert "_ladders" not in vars(clone)
+        assert np.array_equal(power_convolve(clone, 777).probs, power_convolve(p, 777).probs)
+
 
 class TestMoments:
     def test_examples(self):

@@ -317,6 +317,20 @@ class TestFigureOfMerit:
         exact = figure_of_merit_exact(FAIR, 100, FAIR, 10)
         assert abs(est1 - exact) < 3 * err1
 
+    def test_given_posterior_gives_the_same_bits(self):
+        src = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+        spec = PosteriorSpec.for_copies(src, 300)
+        assert figure_of_merit_exact(src, 300, FAIR, 17, posterior=spec) == figure_of_merit_exact(
+            src, 300, FAIR, 17
+        )
+        assert figure_of_merit_mc(src, 300, FAIR, 17, 500, 3, posterior=spec) == figure_of_merit_mc(
+            src, 300, FAIR, 17, 500, 3
+        )
+        with pytest.raises(ValueError, match="N=300, not N=301"):
+            figure_of_merit_exact(src, 301, FAIR, 17, posterior=spec)
+        with pytest.raises(ValueError, match="N=300, not N=299"):
+            figure_of_merit_mc(src, 299, FAIR, 17, 500, 3, posterior=spec)
+
     def test_mc_asymmetry_free_target(self):
         est, err = figure_of_merit_mc(FAIR, 50, VACUUM, 4, 500, 0)
         assert est == 1.0 and err == 0.0
