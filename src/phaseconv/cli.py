@@ -594,8 +594,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if jobs > 1 and len(keys) > 1 and (
         sum(_row_work(experiment, config, key) for key in keys) >= POOL_POINTS
     ):
-        # each worker receives the config once, so a task carries only its row
-        # key, and the worker's rows share the spectra's squaring ladders
+        # each worker receives the config once, so a task carries only its row key
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(keys)), initializer=_adopt_config, initargs=(config,)
         ) as pool:

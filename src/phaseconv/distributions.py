@@ -6,19 +6,12 @@ the cyclic coefficient vectors all live in the same representation, a mass
 vector plus an absolute integer offset.  Storing the offset keeps convolutions
 of shifted spectra exact.
 
-An `IntDistribution`'s offset and mass vector never change after
-construction, and every operation returns the same bits for the same inputs.
-The one state a distribution gains is the squaring ladder of
-`power_convolve`: the trimmed powers p^(2^k) it has built, kept per trim
-threshold so that later powers of the same object reuse them.  At the
-default threshold rung k is no longer than `power_support_bound` at 2^k
-copies, so the rungs sum to at most about 3.4 times `power_support_bound(p,
-N)` float64 values for the largest N taken (at large N, about 3.5 times the
-length of that power itself).  They are held until the distribution is
-freed, and left out of equality, repr, pickles and copies, so a distribution
-sent to a worker process arrives without them.  Threads may share a
-distribution: the ladder is published whole, as a longer tuple, so a reader
-sees only finished rungs.
+An `IntDistribution` is a value: its offset and mass vector never change
+after construction, and every operation returns the same bits for the same
+inputs.  `power_convolve` takes one inverse real FFT of phi^N on a window
+inside the true support that a Bernstein tail bound sizes, trims once, at
+the end, and at the default trim threshold transforms no more than twice
+`power_support_bound` points, rounded up to a power of two.
 """
 
 from __future__ import annotations
@@ -75,32 +68,6 @@ class IntDistribution:
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "offset", int(self.offset))
-
-    def __getstate__(self):
-        # the squaring ladder is a cache, not part of the value
-        return {"offset": self.offset, "probs": self.probs}
-
-    def _squarings(self, count: int, trim_threshold: float) -> tuple:
-        """Rungs (offset, probs) of p^(2^k) for k < ``count``, built on first use.
-
-        Each rung squares the one before it and trims at ``trim_threshold``.
-        A longer ladder replaces the stored one in a single assignment, so
-        concurrent callers at worst build the same rungs twice.
-        """
-        ladders = self.__dict__.setdefault("_ladders", {})
-        rungs = ladders.get(trim_threshold, ((self.offset, self.probs),))
-        if len(rungs) < count:
-            built = list(rungs)
-            while len(built) < count:
-                offset, base = built[-1]
-                delta, square = _trim(0, _fft_square(base), trim_threshold)
-                square = square.copy()  # drop the trimmed edges' memory
-                square.flags.writeable = False
-                built.append((2 * offset + delta, square))
-            rungs = tuple(built)
-            if len(rungs) > len(ladders.get(trim_threshold, ())):
-                ladders[trim_threshold] = rungs
-        return rungs
 
     @classmethod
     def delta(cls, n: int) -> "IntDistribution":
@@ -160,19 +127,30 @@ def _fft_length(n: int) -> int:
     return 1 << max(0, n - 1).bit_length()
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out_len = a.size + b.size - 1
-    size = _fft_length(out_len)
-    out = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:out_len]
-    return np.clip(out, 0.0, None)
+def _log_centred(probs: np.ndarray, scaled: int, theta: np.ndarray) -> np.ndarray:
+    """log of Sum_k p_k exp(-i (k - c) theta) with c = scaled / 2^20, chunked over theta.
 
-
-def _fft_square(a: np.ndarray) -> np.ndarray:
-    """``_fft_convolve(a, a)`` with one forward transform instead of two."""
-    out_len = 2 * a.size - 1
-    size = _fft_length(out_len)
-    spectrum = np.fft.rfft(a, size)
-    return np.clip(np.fft.irfft(spectrum * spectrum, size)[:out_len], 0.0, None)
+    k - c is exact; 1 + Re + i Im with Re = -2 Sum_k p_k sin^2(u_k / 2) and
+    Im = Sum_k p_k (u_k - sin u_k) - (mean - c) theta, u_k = (k - c) theta,
+    cancels no term, so the logarithm keeps its relative precision as theta -> 0.
+    """
+    ratios = [q.as_integer_ratio() for q in probs.tolist()]
+    den = max(d for _, d in ratios)  # a power of two; the int division rounds once
+    excess = sum(a * (den // d) * (i * 2**20 - scaled) for i, (a, d) in enumerate(ratios)) / (den << 20)
+    positions = np.arange(probs.size) - scaled / 2**20
+    out = np.empty(theta.size, dtype=np.complex128)
+    chunk = max(1, 4_000_000 // probs.size)
+    for lo in range(0, theta.size, chunk):
+        t = theta[lo : lo + chunk]
+        u = np.outer(t, positions)
+        u2 = u * u
+        series = 1.0  # (u - sin u) / (u^3 / 6), Taylor to u^19
+        for d in (342, 272, 210, 156, 110, 72, 42, 20):
+            series = 1.0 - u2 / d * series
+        re = -2.0 * (np.sin(0.5 * u) ** 2 @ probs)
+        im = np.where(np.abs(u) < 1.0, u * u2 / 6.0 * series, u - np.sin(u)) @ probs - excess * t
+        out[lo : lo + t.size] = 0.5 * np.log1p(re * (2.0 + re) + im * im) + 1j * np.arctan2(im, 1.0 + re)
+    return out
 
 
 def power_convolve(
@@ -185,34 +163,48 @@ def power_convolve(
 ) -> IntDistribution:
     """N-fold convolution power of ``p`` (sum of ``n_copies`` independent draws).
 
-    Uses FFT convolution inside exponentiation by squaring; intermediate
-    results are clamped at zero and trimmed at ``trim_threshold``.  The final
-    mass drift is renormalized silently below ``mass_warn``, renormalized with
-    a warning up to ``mass_fail``, and rejected beyond that.
-
-    The squarings p, p^2, p^4, ... stay on ``p`` (see the module docstring):
-    a later power of the same object, at any ``n_copies``, reuses the rungs
-    already built and returns the bits it would have returned first.  They
-    hold at most about 3.4 times ``power_support_bound(p, n_copies)`` float64
-    values for the largest ``n_copies`` taken, until ``p`` is freed.
+    One inverse real FFT of phi^N, the N-th power of the characteristic
+    function, gives the masses on a window of L positions inside the true
+    support (or covering it).  Bernstein's inequality sizes the window so that
+    the mass outside it, which the transform folds in, is at most
+    ``trim_threshold`` * 1e-15 on each side; frequencies where |phi|^N is below
+    that stay zero.  L is a power of two, at the default threshold no longer
+    than ``2 * power_support_bound`` rounded up likewise.  phi^N is exp(N log
+    phi), the logarithm centred next to the mean so that its error does not
+    grow with N.  The result is clamped at zero and trimmed once; its mass
+    drift is renormalized silently below ``mass_warn``, renormalized with a
+    warning up to ``mass_fail``, and rejected beyond that.
     """
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
     if n_copies == 1 or p.probs.size == 1:
-        if p.probs.size == 1:
-            return IntDistribution.delta(p.offset * n_copies)
-        return p
+        return p if n_copies == 1 else IntDistribution.delta(p.offset * n_copies)
 
-    acc = None
-    acc_off = 0
-    bits = operator.index(n_copies)
-    for k, (base_off, base) in enumerate(p._squarings(bits.bit_length(), trim_threshold)):
-        if bits >> k & 1:
-            if acc is None:
-                acc, acc_off = base, base_off
-            else:
-                acc_off_delta, acc = _trim(0, _fft_convolve(acc, base), trim_threshold)
-                acc_off += base_off + acc_off_delta
+    n = operator.index(n_copies)
+    # on a sublattice |phi| returns to 1 away from 0: work on the lattice's own steps
+    step = int(np.gcd.reduce(np.flatnonzero(p.probs)))
+    probs = p.probs[::step]
+    span, k = probs.size - 1, np.arange(probs.size)
+    mean = float(k @ probs)
+    full = n * span + 1
+    tail = trim_threshold * 1e-15
+    size, start = _fft_length(full), 0
+    if tail > 0:
+        # Bernstein: mass beyond n * mean +/- t is at most exp(-ell) on each side
+        ell = -math.log(tail)
+        b = max(mean, span - mean) * ell / 3.0
+        t = b + math.sqrt(b * b + 2.0 * ell * n * float((k - mean) ** 2 @ probs))
+        size = min(size, _fft_length(2 * math.ceil(t) + 4))
+        start = min(max(round(n * mean) - size // 2, 0), max(full - size, 0))
+    j = np.flatnonzero(np.abs(np.fft.rfft(probs, size)) > tail ** (1.0 / n))
+    # phi^n = exp(-i theta n c) (Sum_k p_k exp(-i (k - c) theta))^n; n c = whole + frac exactly
+    scaled = round(mean * 2**20)
+    whole, frac = divmod(n * scaled, 2**20)
+    theta = (2.0 * math.pi / size) * j
+    shift = theta * (frac / 2**20) + (2.0 * math.pi / size) * ((whole - start) % size * j % size)
+    spectrum = np.zeros(size // 2 + 1, dtype=np.complex128)
+    spectrum[j] = np.exp(n * _log_centred(probs, scaled, theta) - 1j * shift)
+    lo, acc = _trim(start, np.clip(np.fft.irfft(spectrum, size), 0.0, None), trim_threshold)
 
     total = acc.sum()
     drift = abs(total - 1.0)
@@ -227,7 +219,9 @@ def power_convolve(
             RuntimeWarning,
             stacklevel=2,
         )
-    return IntDistribution(acc_off, acc / total)
+    spread = np.zeros(step * (acc.size - 1) + 1)
+    spread[::step] = acc / total
+    return IntDistribution(p.offset * n + step * lo, spread)
 
 
 def power_support_bound(p: IntDistribution, n_copies: int) -> int:

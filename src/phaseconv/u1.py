@@ -210,18 +210,18 @@ def fidelity_pure_gauss(sigma_sq: float, m_copies: int, gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def _autocorrelation(x: np.ndarray) -> np.ndarray:
-    """a[k] = Sum_n x_n x_{n+k} for k = 0 .. len(x)-1, via FFT."""
-    size = 1 << (2 * x.size - 1).bit_length()
+def _autocorrelation(x: np.ndarray, lags: int) -> np.ndarray:
+    """a[k] = Sum_n x_n x_{n+k} for k < lags, by a cyclic FFT long enough to wrap no pair into them."""
+    size = 1 << (x.size + lags - 2).bit_length()
     spectrum = np.fft.rfft(x, size)
-    return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[: x.size]
+    return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:lags]
 
 
 def _fom_exact_from(ncopy_src: IntDistribution, ncopy_tgt: IntDistribution) -> float:
-    a = _autocorrelation(np.sqrt(ncopy_src.probs))
-    b = _autocorrelation(ncopy_tgt.probs)
-    lags = min(a.size, b.size)
-    return float(a[0] * b[0] + 2.0 * (a[1:lags] @ b[1:lags]))
+    lags = min(len(ncopy_src), len(ncopy_tgt))
+    a = _autocorrelation(np.sqrt(ncopy_src.probs), lags)
+    b = _autocorrelation(ncopy_tgt.probs, lags)
+    return float(a[0] * b[0] + 2.0 * (a[1:] @ b[1:]))
 
 
 def _ncopy_posterior(

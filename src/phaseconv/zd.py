@@ -168,18 +168,25 @@ class SlopeFit:
 def success_slope_fit(source: CyclicCoeffs, n_grid) -> SlopeFit:
     """Fit the geometric convergence rate of the failure probability.
 
-    The wrong-guess mass is summed directly over nonzero deviations; computing
-    it as 1 - Pr(success) would cancel catastrophically once the success
-    probability is within a few ulp of 1.  The intercept is the measured
-    prefactor the asymptotic bound leaves unstated.
+    The wrong-guess mass is summed over nonzero deviations of e = c - 1/d,
+    the inverse DFT of the power with its DC mode zeroed, as sqrt(c) -
+    1/sqrt(d) = e / (sqrt(1/d + e) + 1/sqrt(d)), so it keeps its digits long
+    after c is uniform to round-off.  The intercept is the measured prefactor
+    the asymptotic bound leaves unstated.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("need at least two N values to fit a slope")
+    d, spectrum = source.d, np.fft.fft(source.probs)
     wrong = []
     for n in n_grid:
-        dev = deviation_distribution(canonical_coeffs(source, n))
-        wrong.append(float(dev[1:].sum()))
+        if n < 1:
+            raise ValueError(f"n_copies must be >= 1, got {n}")
+        powered = spectrum**n
+        powered[0] = 0.0
+        e = np.fft.ifft(powered).real
+        amps = np.fft.fft(e / (np.sqrt(np.clip(1.0 / d + e, 0.0, None)) + 1.0 / math.sqrt(d)))
+        wrong.append(float((amps.real[1:] ** 2 + amps.imag[1:] ** 2).sum() / d))
     if min(wrong) <= 0.0:
         raise ValueError("wrong-outcome mass vanished on the grid; nothing to fit")
     slope, intercept = np.polyfit(np.array(n_grid, dtype=np.float64), np.log(wrong), 1)

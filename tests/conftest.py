@@ -1,6 +1,7 @@
 """Shared helpers: random instances and slow independent oracles."""
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -48,6 +49,48 @@ def direct_power(p: IntDistribution, n: int) -> IntDistribution:
     for _ in range(n - 1):
         out = convolve(out, p)
     return out
+
+
+def binomial_pmf(trials: int, q: float, lo: int, hi: int) -> np.ndarray:
+    """Oracle: Binomial(trials, q) at lo .. hi - 1, by log-ratio recurrence from the mode.
+
+    log P(x+1)/P(x) = log1p(((trials+1) q - (x+1)) / ((x+1)(1-q))), with
+    (trials+1) q split exactly into two floats so that the numerator keeps
+    its digits; the log-masses accumulate outward from the mode and the range
+    is normalized by its own sum, so it must hold all but a negligible mass.
+    """
+    lo, hi = max(lo, 0), min(hi, trials + 1)
+    mode = min(max(int((trials + 1) * q), lo), hi - 1)
+    top = Fraction(q) * (trials + 1)
+    top_hi = float(top)
+    top_lo = float(top - Fraction(top_hi))
+
+    def log_ratio(x):
+        return np.log1p(((top_hi - (x + 1)) + top_lo) / ((x + 1) * (1.0 - q)))
+
+    up = np.cumsum(log_ratio(np.arange(mode, hi - 1, dtype=np.float64)))
+    down = np.cumsum(-log_ratio(np.arange(mode - 1, lo - 1, -1, dtype=np.float64)))
+    values = np.exp(np.concatenate((down[::-1], [0.0], up)))
+    return values / values.sum()
+
+
+def exact_power(p: IntDistribution, n: int) -> list[Fraction]:
+    """Oracle: the N-fold convolution power of the floats' exact rational values.
+
+    Each mass is an integer over a common power of two, so the power is
+    integer polynomial arithmetic over that denominator to the N-th.
+    """
+    ratios = [q.as_integer_ratio() for q in p.probs.tolist()]
+    den = max(d for _, d in ratios)
+    base = [a * (den // d) for a, d in ratios]
+    out = [1]
+    for _ in range(n):
+        grown = [0] * (len(out) + len(base) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(base):
+                grown[i + j] += a * b
+        out = grown
+    return [Fraction(a, den**n) for a in out]
 
 
 def class_number_distribution(target: MixedTarget, counts) -> IntDistribution:

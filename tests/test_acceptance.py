@@ -1,17 +1,27 @@
-"""Acceptance gate: ten numbered criteria, one printed verdict line each.
+"""Acceptance gate: numbered criteria, one printed verdict line each.
 
 Each criterion prints ``[C<k>] PASS/FAIL: <measured values>`` before asserting,
 so the verdict and the numbers behind it land in the test log either way.
 Numeric anchors were computed by independent oracle scripts (direct
 convolution, dense quadrature, full enumeration) before being frozen here.
 """
+import csv
+import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import direct_power, random_density, random_mixture, random_state
+from conftest import (
+    binomial_pmf,
+    direct_power,
+    exact_power,
+    random_density,
+    random_mixture,
+    random_state,
+)
 from phaseconv import (
     CyclicCoeffs,
     CyclicState,
@@ -36,7 +46,8 @@ from phaseconv import (
     typical_decomposition,
     uhlmann_fidelity,
 )
-from phaseconv.distributions import amp_char_fn
+from phaseconv.cli import main
+from phaseconv.distributions import TRIM_THRESHOLD, amp_char_fn, power_convolve
 
 FAIR = standardize(IntDistribution(0, np.array([0.5, 0.5])))
 FAIR1 = standardize(IntDistribution(1, np.array([0.5, 0.5])))
@@ -262,4 +273,81 @@ def test_c10_posterior_distance_one_over_n():
         ok,
         f"tv ratios over N = 256 -> 1024 -> 4096: {shown}, required window [3.6, 4.4]; "
         f"N=256 vs dense phase sum: rel {worst_same:.2e}, vs direct convolution: abs {worst_direct:.2e}",
+    )
+
+
+# C11 and C12 are reserved for the mixed-target certificate and its rank-1 tie.
+
+
+def _peak_error_and_support(got, exact, lo):
+    """Largest |got - exact| over the kept support, relative to the peak, with the
+    exact masses renormalized over that support as the library renormalizes; and
+    whether the support is exactly the points whose exact mass exceeds the trim."""
+    exact = np.asarray(exact, dtype=np.float64)
+    start = got.offset - lo
+    kept = exact[start : start + len(got)]
+    dropped = np.concatenate((exact[:start], exact[start + len(got) :]))
+    support = kept[[0, -1]].min() > TRIM_THRESHOLD * (1 - 1e-6) and (
+        dropped.size == 0 or dropped.max() < TRIM_THRESHOLD * (1 + 1e-6)
+    )
+    kept = kept / kept.sum()
+    return float(np.abs(got.probs - kept).max() / kept.max()), bool(support)
+
+
+def test_c13_convolution_powers_against_exact_oracles(tmp_path):
+    start = time.perf_counter()
+    worst_binomial, worst_exact, supports = 0.0, 0.0, True
+    for trials, q in ((1, 0.5), (16, 0.4)):
+        probs = [math.comb(trials, k) * q**k * (1 - q) ** (trials - k) for k in range(trials + 1)]
+        p = IntDistribution(0, np.array(probs) / math.fsum(probs))
+        for n in (10**3, 10**4, 10**5, 10**6, 10**7):
+            got = power_convolve(p, n)
+            m = trials * n
+            sd = math.sqrt(m * q * (1 - q))
+            lo = max(0, math.floor(m * q - 12 * sd))
+            err, same = _peak_error_and_support(got, binomial_pmf(m, q, lo, math.ceil(m * q + 12 * sd)), lo)
+            worst_binomial, supports = max(worst_binomial, err), supports and same
+
+    tri = IntDistribution(3, np.array([0.2, 0.5, 0.3]))
+    cases = [(tri, n) for n in (2, 5, 17, 64, 100)] + [(IntDistribution(0, np.array([0.79, 0.21])), 10)]
+    for p, n in cases:
+        exact = exact_power(p, n)
+        err, same = _peak_error_and_support(power_convolve(p, n), exact, p.offset * n)
+        worst_exact, supports = max(worst_exact, err), supports and same
+    # all eleven masses of [0.79, 0.21]^(*10) exceed the trim, the least being 0.21^10 = 1.7e-7
+    tail = power_convolve(IntDistribution(0, np.array([0.79, 0.21])), 10)
+    tail_ok = tail.offset == 0 and len(tail) == 11
+
+    # a fair-bit u1-fom row at N = 5e10 and the N = 1e7 power, with no mass-drift warning
+    config = tmp_path / "fom.json"
+    config.write_text(json.dumps({
+        "source": {"probs": [0.5, 0.5]}, "target": {"probs": [0.5, 0.5]},
+        "n_grid": [10**7, 5 * 10**10], "m_schedule": {"a": 0.5}, "methods": ["exact", "closed"],
+    }))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["u1-fom", "--config", str(config), "--out", str(tmp_path / "fom.csv"), "--jobs", "1"])
+    rows = list(csv.DictReader((tmp_path / "fom.csv").open()))
+    drift_warnings = [str(w.message) for w in caught if "mass drift" in str(w.message)]
+    gaps = [abs(float(row["gap"])) if row["gap"] else math.inf for row in rows]
+    big_row_ok = code == 0 and not any(row["error"] for row in rows) and max(gaps) <= 1e-11
+    elapsed = time.perf_counter() - start
+
+    ok = (
+        worst_binomial <= 5e-13
+        and worst_exact <= 5e-13
+        and supports
+        and tail_ok
+        and big_row_ok
+        and not drift_warnings
+        and elapsed < 60.0
+    )
+    assert report(
+        "C13",
+        ok,
+        f"vs Binomial (fair bit, Binomial(16, 0.4); N = 1e3 .. 1e7): {worst_binomial:.2e} of the peak; "
+        f"vs exact rational powers (N <= 100): {worst_exact:.2e}; supports match = {supports}; "
+        f"[0.79, 0.21]^10 at offset {tail.offset} with {len(tail)} points; u1-fom N = 1e7, 5e10: "
+        f"exit {code}, |f_exact - f_closed| = {[f'{g:.2e}' for g in gaps]}; "
+        f"drift warnings {drift_warnings}; {elapsed:.2f}s",
     )

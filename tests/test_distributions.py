@@ -119,17 +119,47 @@ class TestPowerConvolve:
 
     def test_mass_budget_warn_and_fail(self):
         p = IntDistribution(0, np.array([0.3, 0.7]))
-        # zero tolerance turns ordinary fft round-off into a reportable drift
+        # a coarse trim drops 0.3^9 = 2.0e-5 of mass, so the drift is nonzero by
+        # construction, and zero tolerance turns it into a reportable drift
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            power_convolve(p, 9, mass_warn=0.0, mass_fail=1.0)
+            power_convolve(p, 9, trim_threshold=1e-4, mass_warn=0.0, mass_fail=1.0)
         assert any("mass" in str(w.message) for w in caught)
         with pytest.raises(PrecisionLossError):
-            power_convolve(p, 9, mass_warn=0.0, mass_fail=0.0)
+            power_convolve(p, 9, trim_threshold=1e-4, mass_warn=0.0, mass_fail=0.0)
 
     def test_invalid_copy_count(self):
         with pytest.raises(ValueError):
             power_convolve(FAIR, 0)
+
+    def test_transforms_no_longer_than_twice_the_support_bound(self, monkeypatch):
+        # fft_cap bounds power_support_bound, so it bounds the allocation too
+        lengths = []
+
+        def recording(real):
+            return lambda a, n=None, *args, **kw: lengths.append(n) or real(a, n, *args, **kw)
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+        binom20 = [math.comb(20, k) * 0.3**k * 0.7 ** (20 - k) for k in range(21)]
+        for probs in ([0.5, 0.5], [0.9, 0.1], [0.5, 0.001, 0.499], binom20, [0.4] + [0.2 / 15] * 15 + [0.4]):
+            p = IntDistribution(0, np.array(probs) / math.fsum(probs))
+            for n in (2, 10, 71, 150, 340, 1000, 12345, 10**5, 10**6):
+                lengths.clear()
+                power_convolve(p, n)
+                assert max(lengths) <= 2 ** (2 * power_support_bound(p, n) - 1).bit_length(), (probs, n)
+
+    def test_sublattice_power_is_the_spread_power(self):
+        # |phi| returns to 1 at theta = pi on even support; the power must not
+        # pick up round-off there, at small N or large
+        gapped = IntDistribution(2, np.array([0.3, 0.0, 0.7]))
+        for n in (2, 7, 30):
+            assert l1_distance(power_convolve(gapped, n), direct_power(gapped, n)) <= 1e-13
+        for n in (1000, 10**6):
+            got = power_convolve(gapped, n)
+            want = power_convolve(IntDistribution(1, np.array([0.3, 0.7])), n)
+            assert got.offset == 2 * want.offset and len(got) == 2 * len(want) - 1
+            assert np.array_equal(got.probs[::2], want.probs) and not got.probs[1::2].any()
 
 
     @pytest.mark.filterwarnings("ignore:power_convolve mass drift")
@@ -158,12 +188,6 @@ def _fresh_power(p, n, trim_threshold):
 
 @pytest.mark.filterwarnings("ignore:power_convolve mass drift")
 class TestSquaringLadder:
-    def test_one_transform_square_matches_two(self):
-        rng = np.random.default_rng(5)
-        for size in (1, 2, 3, 17, 1000, 4097):
-            a = rng.random(size)
-            assert np.array_equal(distributions._fft_square(a), distributions._fft_convolve(a, a))
-
     @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
     @pytest.mark.parametrize("case", range(len(LADDER_CASES)), ids=["fair", "offset-trim"])
     def test_reused_rungs_give_the_bits_of_a_fresh_copy(self, order, case):
@@ -179,21 +203,6 @@ class TestSquaringLadder:
             want = _fresh_power(p, n, trim)
             assert got.offset == want.offset, n
             assert np.array_equal(got.probs, want.probs), n
-
-    def test_rungs_built_once_per_trim_threshold(self, monkeypatch):
-        squarings = []
-        square = distributions._fft_square
-        monkeypatch.setattr(
-            distributions, "_fft_square", lambda a: squarings.append(a.size) or square(a)
-        )
-        p = IntDistribution(2, np.array([0.2, 0.5, 0.3]))
-        counts = []
-        for n, trim in ((1000, 1e-15), (700, 1e-15), (5000, 1e-15), (1000, 1e-12)):
-            before = len(squarings)
-            power_convolve(p, n, trim_threshold=trim)
-            counts.append(len(squarings) - before)
-        # 1000 needs p^(2^k) up to k = 9; 5000 up to k = 12; another threshold starts over
-        assert counts == [9, 0, 3, 9]
 
     def test_threads_sharing_a_distribution_get_the_serial_bits(self):
         p = IntDistribution(1, np.array([0.1, 0.6, 0.3]))

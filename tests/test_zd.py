@@ -1,5 +1,7 @@
 import json
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +234,52 @@ class TestSlopeFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             success_slope_fit(BIASED, [5])
+
+    @pytest.mark.parametrize("probs", [[0.9, 0.1], [0.7, 0.2, 0.1]])
+    def test_wrong_mass_matches_exact_powers(self, probs):
+        # a two-point fit passes through ln Pr(wrong) at both of its copy numbers
+        source = CyclicCoeffs(np.array(probs))
+        for n in (1, 3, 25, 100, 150, 200):
+            fit = success_slope_fit(source, [n, 2 * n])
+            for m in (n, 2 * n):
+                want = float(wrong_mass_oracle(probs, m).ln())
+                assert abs(fit.intercept + fit.slope * m - want) <= 1e-11, (n, m)
+
+    def test_cli_fit_where_the_wrong_mass_is_below_round_off(self, tmp_path, capsys):
+        # at N = 150 and 175 the wrong mass (about 4e-30 and 6e-35) is far below
+        # what 1 - c or the coefficients themselves resolve
+        config = tmp_path / "zd.json"
+        config.write_text(json.dumps({"probs": [0.9, 0.1], "n_grid": [50, 100, 150, 175]}))
+        assert main(["zd", "--config", str(config), "--format", "json", "--jobs", "1"]) == 0
+        fit = json.loads(capsys.readouterr().out)["metadata"]["slope_fit"]
+        assert fit["slope"] == pytest.approx(2 * math.log(0.8), rel=1e-9)
+        assert fit["intercept"] == pytest.approx(math.log(0.25), rel=1e-9)
+
+
+def wrong_mass_oracle(probs, n: int) -> Decimal:
+    """Oracle: Pr(wrong) = 1 - (Sum_j sqrt(c_j))^2 / d for the exact N-fold cyclic power.
+
+    c is the N-fold cyclic convolution power of the floats' exact rational
+    values, normalized; Parseval gives the wrong-guess mass without
+    trigonometry, and the working precision covers the cancellation, leaving
+    60 significant digits.
+    """
+    d = len(probs)
+    base = [Fraction(q) for q in probs]
+
+    def times(a, b):
+        return [sum(a[i] * b[(j - i) % d] for i in range(d)) for j in range(d)]
+
+    power = [Fraction(1)] + [Fraction(0)] * (d - 1)
+    for bit in bin(n)[2:]:
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, base)
+    total = sum(power)
+    with localcontext() as ctx:
+        ctx.prec = 60 + n
+        roots = sum((Decimal(c.numerator) / Decimal(c.denominator)).sqrt() for c in power)
+        return 1 - roots * roots / (d * Decimal(total.numerator) / Decimal(total.denominator))
 
 
 def test_cli_refuses_a_sum_off_by_more_than_1e12(tmp_path, capsys):
