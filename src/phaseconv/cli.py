@@ -30,7 +30,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,11 +46,9 @@ from .errors import (
 from .mixed import (
     DEFAULT_CLASS_CAP,
     MixedTarget,
-    epsilon_schedule,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
     figure_of_merit_mixed_bound,
-    type_class_estimate,
 )
 from .u1 import (
     CONVERGENCE_THRESHOLD,
@@ -88,9 +86,10 @@ _NULL_IS_DEFAULT = {"grid_points", "epsilon"}
 # start), in ms over two rounds: u1-posterior grids of 1.1e6, 2.1e6 and 4.2e6
 # points 143-150 / 132-195, 250-286 / 155-209 and 548-688 / 357-433; u1-rates
 # at 0.6e6 points 107-117 / 96-120; u1-fom Monte Carlo at 1.6e6 points
-# 213-243 / 258-309; exact mixed-bound at 5.1e6 and 16e6 points 236-264 /
-# 290-332 and 1030-1106 / 968-1001.  Those sweeps ran at 46-135 ns a point,
-# so the budget is 0.1-0.3 s of rows; the benchmark's largest sweep is 0.9e6.
+# 213-243 / 258-309.  Those sweeps ran at 119-195 ns a point, so the budget is
+# 0.24-0.39 s of rows; the benchmark's largest sweep is 0.9e6.  An exact
+# mixed-bound sweep counts its posterior grids only: rank 2 at M = 256-2048
+# took 13 / 42 ms, rank 3 at M = 1024-4096 (1.3e4 points) 1.9-2.1 / 1.5-1.7 s.
 POOL_POINTS = 2_000_000
 
 
@@ -301,6 +300,12 @@ def _fom_work(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = 
     return work
 
 
+def _posterior_work(config: SweepConfig, row: dict) -> int:
+    """The N-copy source support bound plus the posterior grid (mixed-bound's default if None)."""
+    support = power_support_bound(config.source.spectrum, row["N"])
+    return support + (config.grid_points or max(4097, 2 * support + 3))
+
+
 def _posterior_row(config: SweepConfig, row: dict) -> None:
     spec = PosteriorSpec.for_copies(config.source, row["N"])
     row["tv_exact_gauss"] = posterior_gauss_distance(spec, config.grid_points)
@@ -320,18 +325,6 @@ def _bound_row(config: SweepConfig, row: dict) -> None:
     row["delta_rho"] = res.decomposition.residual_mass
     row["epsilon"] = res.decomposition.epsilon_used
     row["n_classes"] = res.decomposition.n_classes
-
-
-def _bound_work(config: SweepConfig, row: dict) -> int:
-    """The posterior grid, plus one grid-long product per class for the exact bound."""
-    support = power_support_bound(config.source.spectrum, row["N"])
-    points = config.grid_points or max(4097, 2 * support + 3)
-    m = row["M"]
-    eps = config.epsilon if config.epsilon is not None else epsilon_schedule(max(m, 2))
-    classes = type_class_estimate(config.target.rank, m, eps)
-    if classes > config.class_cap:
-        return 0  # refused before any work
-    return support + points + classes * (points if config.bound_method == "exact" else 1)
 
 
 def _oracle_row(config: SweepConfig, row: dict) -> None:
@@ -435,9 +428,7 @@ EXPERIMENTS = {
         keys=(_SOURCE, _N_GRID, ("grid_points", _GRID_POINTS, 8192)),
         header=("N", "tv_exact_gauss"),
         row_keys=lambda config: [{"N": n} for n in config.n_grid],
-        row=_posterior_row, metadata=_posterior_metadata,
-        work=lambda config, row: config.grid_points
-        + power_support_bound(config.source.spectrum, row["N"]),
+        row=_posterior_row, metadata=_posterior_metadata, work=_posterior_work,
     ),
     "u1-rates": Experiment(
         keys=(
@@ -470,7 +461,7 @@ EXPERIMENTS = {
             ("class_cap", _POSITIVE_INT, DEFAULT_CLASS_CAP),
         ),
         header=("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
-        row_keys=_n_m_keys, row=_bound_row, work=_bound_work,
+        row_keys=_n_m_keys, row=_bound_row, work=_posterior_work,
         metadata=lambda config, rows: {"bound_method": config.bound_method},
     ),
     "mixed-oracle": Experiment(
@@ -493,10 +484,9 @@ EXPERIMENTS = {
         metadata=lambda config, rows: {
             "bound_method": config.bound_method, "epsilon": config.epsilon
         },
-        # work stays 0: a rank-2 row takes about 0.2 ms at M = 3 and 19 ms at
-        # M = 4096, where the exact bound's loop over M + 1 classes dominates,
-        # against 9-22 ms to start a pool of two on a 2-CPU VM; only grids of
-        # many rows at M in the thousands could pay for a pool
+        # work stays 0: a rank-2 row takes 0.13 ms at M = 3 and 4 ms at M = 4096,
+        # against 9-22 ms to start a pool of two on a 2-CPU VM; a 60-row grid at
+        # M = 1024-4096 took 138 ms in-process and 95 ms in a pool of two
     ),
 }
 
@@ -591,14 +581,15 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     start = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
     keys = experiment.row_keys(config)
-    if jobs > 1 and len(keys) > 1 and (
-        sum(_row_work(experiment, config, key) for key in keys) >= POOL_POINTS
-    ):
-        # each worker receives the config once, so a task carries only its row key
+    works = [_row_work(experiment, config, key) for key in keys] if jobs > 1 else []
+    if len(works) > 1 and sum(works) >= POOL_POINTS:
+        # a task takes as many rows as fit in a quarter of a worker's share if each
+        # is the costliest: like rows share tasks, a geometric grid's do not
+        chunk = max(1, sum(works) // (4 * jobs * max(1, *works)))
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(keys)), initializer=_adopt_config, initargs=(config,)
         ) as pool:
-            rows = list(pool.map(_compute_adopted_row, keys))
+            rows = list(pool.map(_compute_adopted_row, keys, chunksize=chunk))
     else:
         rows = [_compute_row(config, key) for key in keys]
     header = result_header(config.experiment, getattr(config, "methods", ()))
@@ -670,6 +661,7 @@ def exit_code_for(rows: list[dict]) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phaseconv",

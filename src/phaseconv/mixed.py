@@ -9,7 +9,8 @@ the fidelity then certifies
 
     F(prepared, true) >= (1 - delta) * min over kept classes of F_class.
 
-The kept set holds about (2 eps M)^(rank-1) classes, guarded by ``class_cap``.
+The kept set is enumerated one integer interval per count, so ``class_cap``
+sees its exact size, and the exact floor reads only the intervals' ends.
 The exact mixed fidelity the bound is checked against is a closed form in the
 component fidelities; the Uhlmann fidelity of a dense embedding is its oracle.
 """
@@ -93,16 +94,6 @@ class TypicalDecomposition:
         return len(self.counts)
 
 
-def type_class_estimate(rank: int, m_copies: int, epsilon: float) -> int:
-    """Size estimate of the epsilon-typical set, made before enumerating anything.
-
-    The smaller of the count of all compositions of M into ``rank`` parts
-    and a box of 2 floor(eps M) + 1 values in each free coordinate.
-    """
-    per_coord = 2 * math.floor(epsilon * m_copies) + 1
-    return min(math.comb(m_copies + rank - 1, rank - 1), per_coord ** max(rank - 1, 1))
-
-
 def typical_decomposition(
     target: MixedTarget,
     m_copies: int,
@@ -110,10 +101,15 @@ def typical_decomposition(
     *,
     class_cap: int = DEFAULT_CLASS_CAP,
 ) -> TypicalDecomposition:
-    """Enumerate the epsilon-typical type classes of target^(x M).
+    """Enumerate the epsilon-typical type classes of target^(x M), ||k - M t||_1 <= eps M.
 
-    Counts are fixed one coordinate at a time, in lexicographic order; a prefix
-    goes once its accrued L1 plus the least the undecided counts add exceeds eps M.
+    Counts are fixed one coordinate at a time, in lexicographic order.  Given
+    the counts before it, with accrued L1 distance a and L copies left, count j
+    keeps the integers k in [0, L] with a + |k - M t_j| + |L - k - M s_j| <= eps M,
+    s_j = t_{j+1} + ... + t_r: one interval, as the left side is convex in k.
+    Each stage's row count, at the last stage the exact class count, is compared
+    with ``class_cap`` before the rows are allocated.  Classes that share all
+    but their last two counts (a slice) are consecutive rows.
 
     Class weights are multinomial(M; k) * prod t_k^k, evaluated in log space
     (the exact integers overflow and the direct product underflows long
@@ -125,36 +121,39 @@ def typical_decomposition(
         raise ValueError(f"epsilon must be positive, got {eps}")
     r = target.rank
     t = np.array(target.weights)
-    estimate = type_class_estimate(r, m_copies, eps)
-    if estimate > class_cap:
-        raise CombinatorialBlowupError(
-            f"about {estimate} type classes at M={m_copies}, rank {r}; cap is {class_cap}"
-        )
     scaled = t * m_copies  # work in copy units to avoid repeated division
-    suffix_mass = np.concatenate((np.cumsum(scaled[::-1])[::-1], [0.0]))
+    suffix_mass = np.cumsum(scaled[::-1])[::-1]
     budget = eps * m_copies + 1e-9
     counts = np.zeros((1, 0), dtype=np.int64)
     accrued = np.zeros(1)
+    left = np.array([m_copies])
     for j in range(r - 1):
-        # one extra value at each end absorbs round-off in the box limits
-        lo = max(0, math.ceil(scaled[j] - budget) - 1)
-        box = np.arange(lo, min(m_copies, math.floor(scaled[j] + budget) + 1) + 1)
-        parent = np.repeat(np.arange(len(counts)), box.size)
-        counts = np.column_stack((counts[parent], np.tile(box, len(counts))))
-        accrued = accrued[parent] + np.abs(counts[:, -1] - scaled[j])
-        left = m_copies - counts.sum(axis=1)
-        keep = (left >= 0) & (accrued + np.abs(left - suffix_mass[j + 1]) <= budget)
-        counts, accrued = counts[keep], accrued[keep]
-    counts = np.column_stack((counts, m_copies - counts.sum(axis=1)))
-    counts = counts[accrued + np.abs(counts[:, -1] - scaled[-1]) <= budget]
+        # |k - x| + |rest - k| = max(|rest - x|, |2k - x - rest|) with x = M t_j
+        slack = budget - accrued
+        rest = left - suffix_mass[j + 1]
+        lo = np.maximum(np.ceil((scaled[j] + rest - slack) / 2), 0).astype(np.int64)
+        hi = np.minimum(np.floor((scaled[j] + rest + slack) / 2), left).astype(np.int64)
+        sizes = np.where(np.abs(rest - scaled[j]) <= slack, np.maximum(hi - lo + 1, 0), 0)
+        rows = int(sizes.sum())
+        if rows > class_cap:
+            raise CombinatorialBlowupError(
+                f"about {rows} type classes at M={m_copies}, rank {r}; cap is {class_cap}"
+            )
+        parent = np.repeat(np.arange(len(counts)), sizes)
+        k = np.arange(rows) + (lo - np.cumsum(sizes) + sizes)[parent]
+        counts = np.concatenate((counts[parent], k[:, None]), axis=1)
+        accrued = accrued[parent] + np.abs(k - scaled[j])
+        left = left[parent] - k
+    counts = np.concatenate((counts, left[:, None]), axis=1)
     if not len(counts):
         raise ValueError(
             f"no type class within epsilon={eps} at M={m_copies}; widen epsilon"
         )
-    # log k! once per distinct count, not for all of 0..M: the counts lie in rank boxes
-    distinct, where = np.unique(counts, return_inverse=True)
-    log_factorial = np.array([math.lgamma(k + 1) for k in distinct.tolist()])
-    log_counts = log_factorial[where.reshape(counts.shape)].sum(axis=1)
+    # log k! per value of each column, all within eps M of M t_j: no sort, no 0..M table
+    log_counts = 0.0
+    for column, least in zip(counts.T, counts.min(axis=0).tolist()):
+        log_factorial = np.array([math.lgamma(k + 1) for k in range(least, column.max() + 1)])
+        log_counts = log_counts + log_factorial[column - least]
     weights = np.exp(math.lgamma(m_copies + 1) - log_counts + counts @ np.log(t))
     counts.setflags(write=False)
     weights.setflags(write=False)
@@ -179,7 +178,8 @@ def fidelity_mixed_lower_bound(
     regime the closed forms live in), "exact" for prod_j |phi_j(gamma)|^(2 k_j),
     the fidelity of the class number distribution with no convolution built.
     Pass a precomputed ``decomposition`` to amortize enumeration across many
-    gamma batches.
+    gamma batches; it must be a `typical_decomposition` result, because the
+    exact floor reads only the two end classes of each of its slices.
     """
     if method not in ("gauss", "exact"):
         raise ValueError(f"method must be 'gauss' or 'exact', got {method!r}")
@@ -191,9 +191,16 @@ def fidelity_mixed_lower_bound(
         widest = ((dec.counts / dec.m_copies) @ target.component_variances).max()
         floor = fidelity_pure_gauss(widest, m_copies, gamma)
     else:
+        # log F_k = sum_j k_j ln|phi_j|^2 is linear in k, and along a slice only
+        # the last two counts move, in opposite steps: each slice's least
+        # fidelity is at one of its two ends
+        head = dec.counts[:, :-2]
+        step = (head[1:] != head[:-1]).any(axis=1)  # row i + 1 starts a slice
+        ends = np.ones(dec.n_classes, dtype=bool)
+        ends[1:-1] = step[1:] | step[:-1]
         component_fids = [fidelity_pure_exact(c, 1, gamma) for c in target.components]
         floor = None
-        for counts in dec.counts.tolist():
+        for counts in dec.counts[ends].tolist():
             fid = math.prod(f**k for f, k in zip(component_fids, counts) if k > 0)
             floor = fid if floor is None else np.minimum(floor, fid)
     out = (1.0 - dec.residual_mass) * np.asarray(floor, dtype=np.float64)

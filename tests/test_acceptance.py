@@ -37,6 +37,7 @@ from phaseconv import (
     figure_of_merit_closed,
     figure_of_merit_exact,
     figure_of_merit_mc,
+    figure_of_merit_mixed_bound,
     figure_of_merit_quadrature,
     measure_eta_basis,
     posterior_density_exact,
@@ -276,7 +277,35 @@ def test_c10_posterior_distance_one_over_n():
     )
 
 
-# C11 and C12 are reserved for the mixed-target certificate and its rank-1 tie.
+# C11 is reserved for the mixed-target certificate.
+
+
+def test_c12_rank1_mixed_bound_ties_exact_figure_of_merit():
+    # a rank-1 target keeps its one class with no residual, so the exact bound is
+    # the posterior average of |phi|^(2M) on a grid wider than span_N + M span_target;
+    # the oracle is the autocorrelation route, which builds no grid and no class
+    start = time.perf_counter()
+    tri = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+    states = {"fair": FAIR, "[0.2, 0.5, 0.3]@2": tri}
+    worst, where = 0.0, None
+    for source_name, source in states.items():
+        for target_name, target in states.items():
+            for n, m in ((100, 16), (1000, 64), (4000, 300)):
+                bound = figure_of_merit_mixed_bound(
+                    source, n, MixedTarget.pure(target), m, method="exact"
+                ).f_bound
+                exact = figure_of_merit_exact(source, n, target, m)
+                rel = abs(bound - exact) / exact
+                if rel >= worst:
+                    worst, where = rel, (source_name, target_name, n, m)
+    elapsed = time.perf_counter() - start
+    ok = worst <= 1e-12 and elapsed < 60.0
+    assert report(
+        "C12",
+        ok,
+        f"rank-1 exact mixed bound vs figure_of_merit_exact over 12 (source, target, N, M): "
+        f"largest relative gap {worst:.2e} at {where}, required <= 1e-12; {elapsed:.2f}s",
+    )
 
 
 def _peak_error_and_support(got, exact, lo):

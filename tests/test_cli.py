@@ -44,9 +44,9 @@ def pooled_n(monkeypatch):
     pooled = []
 
     class RecordingPool(cli.ProcessPoolExecutor):
-        def map(self, fn, rows):
+        def map(self, fn, rows, **kwargs):
             pooled.extend(row["N"] for row in rows)
-            return super().map(fn, rows)
+            return super().map(fn, rows, **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     return pooled
@@ -173,6 +173,24 @@ class TestRunSweep:
         assert [row["N"] for row in result.rows] == [16, 32, 64]
         assert exit_code_for(result.rows) == 0
         assert pooled_n == pooled
+
+    def test_pooled_rows_chunk_by_the_costliest_row(self, monkeypatch):
+        # like rows share a task; on a geometric grid the last rows hold most of
+        # the work, so each row is a task of its own
+        chunks = []
+
+        class RecordingPool(cli.ProcessPoolExecutor):
+            def map(self, fn, rows, **kwargs):
+                chunks.append(kwargs["chunksize"])
+                return super().map(fn, rows, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "POOL_POINTS", 1)
+        for n_grid in (list(range(1, 41)), [4**k for k in range(1, 13)]):
+            config = cfg("u1-posterior", {"source": FOM_CONFIG["source"], "n_grid": n_grid,
+                                          "grid_points": 256})
+            assert exit_code_for(run_sweep(config, jobs=2).rows) == 0
+        assert chunks[0] > 1 and chunks[1] == 1
 
     @pytest.mark.parametrize(
         "experiment, payload",

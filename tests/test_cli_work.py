@@ -45,9 +45,9 @@ def test_pooled_tasks_carry_row_keys_only(monkeypatch, experiment, payload):
     tasks = []
 
     class RecordingPool(cli.ProcessPoolExecutor):
-        def map(self, fn, rows):
+        def map(self, fn, rows, **kwargs):
             tasks.extend((fn, row) for row in rows)
-            return super().map(fn, rows)
+            return super().map(fn, rows, **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "POOL_POINTS", 0)

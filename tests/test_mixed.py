@@ -143,6 +143,37 @@ class TestTypicalDecomposition:
         with pytest.raises(CombinatorialBlowupError):
             typical_decomposition(target, 4000, epsilon=2.0, class_cap=100)
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_class_cap_sees_the_exact_count(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        target = random_mixture(rng, max_rank=rank)
+        while target.rank < rank:
+            target = random_mixture(rng, max_rank=rank)
+        m, eps = 60, 0.4
+        exact = len(typical_classes_brute(target, m, eps)[0])
+        assert typical_decomposition(target, m, eps, class_cap=exact).n_classes == exact
+        message = f"about {exact} type classes at M={m}, rank {rank}; cap is {exact - 1}"
+        with pytest.raises(CombinatorialBlowupError, match=f"^{message}$"):
+            typical_decomposition(target, m, eps, class_cap=exact - 1)
+
+    def test_rank3_at_m4096_within_the_default_cap(self):
+        # a fair bit, [0.2, 0.5, 0.3] and [0.1, 0.9] with weights 0.2 / 0.3 / 0.5
+        tri = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+        skewed = standardize(IntDistribution(0, np.array([0.1, 0.9])))
+        target = MixedTarget((FAIR0, tri, skewed), (0.2, 0.3, 0.5))
+        m = 4096
+        dec = typical_decomposition(target, m)
+        # independent count: each first count, with the second vectorized, by the
+        # float expression of `typical_classes_brute`
+        scaled = m * np.asarray(target.weights)
+        budget = dec.epsilon_used * m + 1e-9
+        count = 0
+        for first in range(m + 1):
+            second = np.arange(m - first + 1)
+            counts = np.column_stack((np.full_like(second, first), second, m - first - second))
+            count += int((np.abs(counts - scaled).sum(axis=1) <= budget).sum())
+        assert count == dec.n_classes == 566_371
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             typical_decomposition(HALF_HALF, 4, epsilon=0.0)
@@ -154,7 +185,7 @@ class TestTypicalDecomposition:
             target = random_mixture(rng, max_rank=rank)
             while target.rank < rank:
                 target = random_mixture(rng, max_rank=rank)
-            for eps in (2.0, epsilon_schedule(max(m, 2)), 1e-12):
+            for eps in (2.0, epsilon_schedule(max(m, 2)), 0.3, 1e-12):
                 counts, weights = typical_classes_brute(target, m, eps)
                 if rank > 1 and eps == 1e-12:
                     assert len(counts) == 0
@@ -238,10 +269,14 @@ class TestMixedLowerBound:
         # fidelity is exp(-Var gamma^2) and the exact one |char_fn|^2
         rng = np.random.default_rng(616)
         grid = np.linspace(-math.pi, math.pi, 65)
-        for _ in range(6):
-            target = random_mixture(rng)
+        # rank 4 at epsilon 0.3: slices (classes sharing all but their last two
+        # counts) are shorter than the ball
+        for rank, epsilon in [(None, None)] * 6 + [(4, 0.3)] * 3:
+            target = random_mixture(rng, max_rank=rank or 3)
+            while rank and target.rank < rank:
+                target = random_mixture(rng, max_rank=rank)
             m = int(rng.integers(2, 40))
-            dec = typical_decomposition(target, m)
+            dec = typical_decomposition(target, m, epsilon)
             gauss, exact = [], []
             for counts in dec.counts:
                 law = class_number_distribution(target, counts)
