@@ -89,7 +89,7 @@ _NULL_IS_DEFAULT = {"grid_points", "epsilon"}
 # 213-243 / 258-309.  Those sweeps ran at 119-195 ns a point, so the budget is
 # 0.24-0.39 s of rows; the benchmark's largest sweep is 0.9e6.  An exact
 # mixed-bound sweep counts its posterior grids only: rank 2 at M = 256-2048
-# took 13 / 42 ms, rank 3 at M = 1024-4096 (1.3e4 points) 1.9-2.1 / 1.5-1.7 s.
+# took 8 / 16-18 ms, rank 3 at M = 1024-4096 (1.3e4 points) 0.09-0.10 / 0.13 s.
 POOL_POINTS = 2_000_000
 
 
@@ -484,9 +484,9 @@ EXPERIMENTS = {
         metadata=lambda config, rows: {
             "bound_method": config.bound_method, "epsilon": config.epsilon
         },
-        # work stays 0: a rank-2 row takes 0.13 ms at M = 3 and 4 ms at M = 4096,
+        # work stays 0: a rank-2 row takes 0.15 ms at M = 3 and 4.3 ms at M = 4096,
         # against 9-22 ms to start a pool of two on a 2-CPU VM; a 60-row grid at
-        # M = 1024-4096 took 138 ms in-process and 95 ms in a pool of two
+        # M = 1024-4096 took 163 ms in-process and 108 ms in a pool of two
     ),
 }
 

@@ -10,7 +10,8 @@ the fidelity then certifies
     F(prepared, true) >= (1 - delta) * min over kept classes of F_class.
 
 The kept set is enumerated one integer interval per count, so ``class_cap``
-sees its exact size, and the exact floor reads only the intervals' ends.
+sees its exact size.  The exact floor's log fidelity is linear in the counts,
+so it reads only the intervals' ends, in one pass over them in log space.
 The exact mixed fidelity the bound is checked against is a closed form in the
 component fidelities; the Uhlmann fidelity of a dense embedding is its oracle.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,19 @@ from .u1 import (
 )
 
 DEFAULT_CLASS_CAP = 10**6
+
+# math.fsum is the faster sum below this many values (2-3x at 256, level at
+# 1,024, 3x slower at 4,096)
+_FSUM_DIRECT = 1024
+# values per block of the binned sum, whose temporaries then stay near 150 kB (one
+# block over the benchmark's 21,675 weights raised its peak resident set 0.8 MB)
+_SUM_BLOCK = 4096
+# entries per block of the exact floor: 2^18 to 2^20 timed alike, 2^16 1.5x slower
+_FLOOR_BLOCK = 1 << 18
+# below this many classes x angles the exact floor reads every class: selecting
+# the slice ends costs about 6 us (every class 17 against 24 us at 3 entries,
+# 77 against 46 us at 3,444)
+_ENDS_FROM = 1024
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,17 @@ class MixedTarget:
     def component_variances(self) -> np.ndarray:
         return np.array([c.variance for c in self.components])
 
+    @cached_property
+    def _phase_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exact floor's terms: per component (sum p)^2 - 1 and -4 c_d, c_d = sum_n p_n p_{n+d}; d / 2."""
+        width = max(len(c.spectrum) for c in self.components)
+        lags = np.zeros((self.rank, width - 1))
+        for j, c in enumerate(self.components):
+            probs = c.spectrum.probs
+            lags[j, : probs.size - 1] = -4.0 * np.correlate(probs, probs, "full")[probs.size :]
+        totals = np.array([math.fsum(c.spectrum.probs.tolist()) for c in self.components])
+        return ((totals - 1.0) * (totals + 1.0))[:, None], lags, 0.5 * np.arange(1.0, width)
+
 
 def epsilon_schedule(m_copies: int) -> float:
     """Typicality width ((ln M)/M)^(1/4).
@@ -94,6 +120,33 @@ class TypicalDecomposition:
         return len(self.counts)
 
 
+def _log_factorial(values: np.ndarray) -> np.ndarray:
+    """ln(k!) for each k in ``values``, from one lgamma table over their least to largest."""
+    least = values.min()
+    table = np.array([math.lgamma(k + 1) for k in range(least, values.max() + 1)])
+    return table[values - least]
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values) for fewer than 2^26 finite floats, from exact sums per binary exponent.
+
+    Each m 2^e (frexp) is (top + low 2^-26) 2^(e - 27) with integers top < 2^27
+    and low < 2^26, so their float sums per e stay below 2^53 and are exact.
+    """
+    if values.size < _FSUM_DIRECT:
+        return math.fsum(values.tolist())
+    high, low = np.zeros(2098), np.zeros(2098)  # frexp's exponents run from -1073 to 1024
+    for lo in range(0, values.size, _SUM_BLOCK):
+        mantissa, exponent = np.frexp(values[lo : lo + _SUM_BLOCK])
+        exponent += 1073
+        mantissa *= 2.0**27
+        top = np.floor(mantissa)
+        high += np.bincount(exponent, top, high.size)
+        low += np.bincount(exponent, (mantissa - top) * 2.0**26, low.size)
+    used = np.flatnonzero(high)  # a nonzero value has a nonzero top
+    return math.fsum(np.ldexp(high[used], used - 1100).tolist() + np.ldexp(low[used], used - 1126).tolist())
+
+
 def typical_decomposition(
     target: MixedTarget,
     m_copies: int,
@@ -114,7 +167,7 @@ def typical_decomposition(
     Class weights are multinomial(M; k) * prod t_k^k, evaluated in log space
     (the exact integers overflow and the direct product underflows long
     before M reaches interesting sizes).  ``residual_mass`` is one minus the
-    kept coverage, clamped at zero.
+    kept coverage, a correctly rounded sum (math.fsum's value), clamped at zero.
     """
     eps = epsilon_schedule(m_copies) if epsilon is None else float(epsilon)
     if eps <= 0:
@@ -124,7 +177,7 @@ def typical_decomposition(
     scaled = t * m_copies  # work in copy units to avoid repeated division
     suffix_mass = np.cumsum(scaled[::-1])[::-1]
     budget = eps * m_copies + 1e-9
-    counts = np.zeros((1, 0), dtype=np.int64)
+    columns, log_counts = [], np.zeros(1)
     accrued = np.zeros(1)
     left = np.array([m_copies])
     for j in range(r - 1):
@@ -139,25 +192,26 @@ def typical_decomposition(
             raise CombinatorialBlowupError(
                 f"about {rows} type classes at M={m_copies}, rank {r}; cap is {class_cap}"
             )
-        parent = np.repeat(np.arange(len(counts)), sizes)
+        if not rows:
+            raise ValueError(
+                f"no type class within epsilon={eps} at M={m_copies}; widen epsilon"
+            )
+        parent = np.repeat(np.arange(len(left)), sizes)
         k = np.arange(rows) + (lo - np.cumsum(sizes) + sizes)[parent]
-        counts = np.concatenate((counts[parent], k[:, None]), axis=1)
-        accrued = accrued[parent] + np.abs(k - scaled[j])
+        columns = [column[parent] for column in columns] + [k]
+        log_counts = log_counts[parent] + _log_factorial(k)
         left = left[parent] - k
-    counts = np.concatenate((counts, left[:, None]), axis=1)
-    if not len(counts):
-        raise ValueError(
-            f"no type class within epsilon={eps} at M={m_copies}; widen epsilon"
-        )
-    # log k! per value of each column, all within eps M of M t_j: no sort, no 0..M table
-    log_counts = 0.0
-    for column, least in zip(counts.T, counts.min(axis=0).tolist()):
-        log_factorial = np.array([math.lgamma(k + 1) for k in range(least, column.max() + 1)])
-        log_counts = log_counts + log_factorial[column - least]
+        if j < r - 2:  # unread after the last stage; skipping it lowers the peak memory
+            accrued = accrued[parent] + np.abs(k - scaled[j])
+    counts = np.empty((len(left), r), dtype=np.int64)
+    for j, column in enumerate(columns + [left]):
+        counts[:, j] = column
+    del columns  # held by the stacked counts now
+    log_counts += _log_factorial(left)
     weights = np.exp(math.lgamma(m_copies + 1) - log_counts + counts @ np.log(t))
     counts.setflags(write=False)
     weights.setflags(write=False)
-    residual = max(0.0, 1.0 - math.fsum(weights))
+    residual = max(0.0, 1.0 - _exact_sum(weights))
     return TypicalDecomposition(counts, weights, residual, eps, m_copies)
 
 
@@ -177,32 +231,48 @@ def fidelity_mixed_lower_bound(
     exp(-M sigma_k^2 gamma^2) (certified for spectra it dominates, and the
     regime the closed forms live in), "exact" for prod_j |phi_j(gamma)|^(2 k_j),
     the fidelity of the class number distribution with no convolution built.
-    Pass a precomputed ``decomposition`` to amortize enumeration across many
-    gamma batches; it must be a `typical_decomposition` result, because the
-    exact floor reads only the two end classes of each of its slices.
+    The exact floor is exp of the least sum_j k_j ln|phi_j|^2 over the two end
+    classes of each slice, ln|phi_j|^2 = log1p((sum p)^2 - 1 - 4 sum_d c_d
+    sin^2(d gamma / 2)) with c_d = sum_n p_n p_{n+d}: nonnegative terms, so relative
+    precision as gamma -> 0 (absolute near a zero of |phi_j|, which adds nothing
+    at k_j = 0 and gives a floor of 0 at k_j > 0).  A precomputed ``decomposition``
+    amortizes enumeration across gamma batches; it must be a `typical_decomposition`
+    result for this target and M (else ValueError).
     """
     if method not in ("gauss", "exact"):
         raise ValueError(f"method must be 'gauss' or 'exact', got {method!r}")
     dec = decomposition or typical_decomposition(
         target, m_copies, epsilon, class_cap=class_cap
     )
+    if dec.m_copies != m_copies:
+        raise ValueError(f"decomposition is for M={dec.m_copies}, not M={m_copies}")
+    if dec.counts.shape[1] != target.rank:
+        raise ValueError(f"decomposition is for rank {dec.counts.shape[1]}, not rank {target.rank}")
     if method == "gauss":
         # exp(-M s^2 gamma^2) decreases as s^2 grows: the widest class is the minimum
         widest = ((dec.counts / dec.m_copies) @ target.component_variances).max()
         floor = fidelity_pure_gauss(widest, m_copies, gamma)
     else:
-        # log F_k = sum_j k_j ln|phi_j|^2 is linear in k, and along a slice only
-        # the last two counts move, in opposite steps: each slice's least
-        # fidelity is at one of its two ends
-        head = dec.counts[:, :-2]
-        step = (head[1:] != head[:-1]).any(axis=1)  # row i + 1 starts a slice
-        ends = np.ones(dec.n_classes, dtype=bool)
-        ends[1:-1] = step[1:] | step[:-1]
-        component_fids = [fidelity_pure_exact(c, 1, gamma) for c in target.components]
-        floor = None
-        for counts in dec.counts[ends].tolist():
-            fid = math.prod(f**k for f, k in zip(component_fids, counts) if k > 0)
-            floor = fid if floor is None else np.minimum(floor, fid)
+        flat = np.asarray(gamma, dtype=np.float64).reshape(-1)
+        counts = dec.counts
+        if dec.n_classes * flat.size >= _ENDS_FROM:
+            # log F_k is linear in k, and along a slice only the last two counts
+            # move, in opposite steps: each slice's least fidelity is at an end
+            head = dec.counts[:, :-2]
+            edge = np.concatenate(([True], (head[1:] != head[:-1]).any(axis=1), [True]))
+            counts = dec.counts[edge[:-1] | edge[1:]]  # edge[i]: row i starts a slice
+        counts = counts.astype(np.float64)
+        squares, lags, halves = target._phase_terms
+        block = max(1, _FLOOR_BLOCK // (len(counts) + len(halves)))
+        least = np.empty(flat.size)
+        for lo in range(0, flat.size, block):
+            # einsum's own loops, no BLAS: sum_d (-4 c_d) sin^2(d gamma / 2) per
+            # component, then sum_j k_j ln|phi_j|^2 per class and angle
+            sines = np.sin(np.multiply.outer(halves, flat[lo : lo + block])) ** 2
+            dev = squares + np.einsum("jd,dg->jg", lags, sines)
+            logs = np.log1p(dev, out=np.full(dev.shape, -np.finfo(float).max), where=dev > -1.0)
+            least[lo : lo + block] = np.einsum("ej,jg->eg", counts, logs).min(axis=0)
+        floor = np.exp(least).reshape(np.shape(gamma))
     out = (1.0 - dec.residual_mass) * np.asarray(floor, dtype=np.float64)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -308,6 +308,74 @@ def test_c12_rank1_mixed_bound_ties_exact_figure_of_merit():
     )
 
 
+def _longdouble_floor(target, counts, gamma):
+    """Oracle: exp(min over rows of sum_j k_j ln|phi_j|^2), all in np.longdouble.
+
+    |phi_j|^2 comes from direct cosine and sine sums; a count of 0 adds 0.
+    """
+    angles = np.asarray(gamma, dtype=np.longdouble)
+    logs = []
+    for comp in target.components:
+        probs = comp.spectrum.probs.astype(np.longdouble)
+        phases = np.multiply.outer(angles, np.arange(probs.size, dtype=np.longdouble))
+        re, im = np.cos(phases) @ probs, np.sin(phases) @ probs
+        with np.errstate(divide="ignore"):
+            logs.append(np.log(re * re + im * im))
+    k = counts.astype(np.longdouble)
+    with np.errstate(invalid="ignore"):
+        total = sum(np.where(k[:, [j]] == 0, 0, k[:, [j]] * logs[j]) for j in range(len(logs)))
+    return np.exp(total.min(axis=0))
+
+
+def _slice_ends(counts):
+    """Rows of a rank-3 decomposition that start or end a run of equal first counts."""
+    first = counts[:, 0]
+    starts = np.flatnonzero(np.diff(first, prepend=-1))
+    return counts[np.union1d(starts, np.append(starts[1:] - 1, len(first) - 1))]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="np.longdouble is float64 here")
+def test_c14_exact_floor_at_large_m_against_extended_precision():
+    # ROADMAP item 2's rank-3 target; the floor is exp of a sum of M-scaled logs,
+    # so a relative error of ln|phi|^2 grows M-fold in it
+    start = time.perf_counter()
+    tri = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+    skewed = standardize(IntDistribution(0, np.array([0.1, 0.9])))
+    target = MixedTarget((FAIR, tri, skewed), (0.2, 0.3, 0.5))
+    midpoints = -math.pi + 2 * math.pi * (np.arange(257) + 0.5) / 257
+    edges = np.linspace(-math.pi, math.pi, 257)  # the fair bit (and tri) vanish at +-pi
+    worst, lines = 0.0, []
+    for m in (64, 1024, 4096):
+        dec = typical_decomposition(target, m)
+        got = fidelity_mixed_lower_bound(target, m, midpoints, method="exact", decomposition=dec)
+        ref = _longdouble_floor(target, _slice_ends(dec.counts), midpoints) * (1 - np.longdouble(dec.residual_mass))
+        kept = ref > 1e-10
+        rel = float((np.abs(got[kept] - ref[kept]) / ref[kept]).max())
+        worst = max(worst, rel)
+        lines.append(f"M={m}: {rel:.1e} over {int(kept.sum())} angles")
+    # near a zero of |phi_j|^2 the log form keeps absolute precision; at M = 1,
+    # epsilon 1.0 keeps (0, 0, 1) only and 2.0 all three classes, and at M = 64
+    # the ends hold fair counts of 0 and above
+    worst_abs, zeros_ok = 0.0, True
+    for m, eps in ((1, 1.0), (1, 2.0), (64, None)):
+        dec = typical_decomposition(target, m, eps)
+        got = fidelity_mixed_lower_bound(target, m, edges, method="exact", decomposition=dec)
+        ref = _longdouble_floor(target, _slice_ends(dec.counts), edges) * (1 - np.longdouble(dec.residual_mass))
+        worst_abs = max(worst_abs, float(np.abs(got - ref).max()))
+        vanishing = bool(dec.counts[:, :2].any())  # a class holds a copy of the fair bit or of tri
+        zeros_ok = zeros_ok and bool(np.isfinite(got).all()) and bool(((got[[0, -1]] == 0.0) == vanishing).all())
+    elapsed = time.perf_counter() - start
+    ok = worst <= 1e-12 and worst_abs <= 1e-14 and zeros_ok and elapsed < 60.0
+    assert report(
+        "C14",
+        ok,
+        f"exact floor vs long double oracle on 257 midpoints where it exceeds 1e-10, relative: "
+        f"{'; '.join(lines)}, required <= 1e-12; on 257 angles from -pi to pi: absolute "
+        f"{worst_abs:.1e}, required <= 1e-14, and 0 at +-pi exactly where a class holds a copy "
+        f"of a component that vanishes there: {zeros_ok}; {elapsed:.2f}s",
+    )
+
+
 def _peak_error_and_support(got, exact, lo):
     """Largest |got - exact| over the kept support, relative to the peak, with the
     exact masses renormalized over that support as the library renormalizes; and

@@ -31,7 +31,7 @@ from phaseconv import (
 )
 from phaseconv.distributions import char_fn, convolve, moments
 from phaseconv import mixed
-from phaseconv.mixed import embedded_density
+from phaseconv.mixed import DEFAULT_CLASS_CAP, embedded_density
 
 FAIR0 = standardize(IntDistribution(0, np.array([0.5, 0.5])))
 FAIR1 = standardize(IntDistribution(1, np.array([0.5, 0.5])))
@@ -208,6 +208,50 @@ class TestTypicalDecomposition:
                 arr[0] = 0
 
 
+class TestExactSum:
+    """`mixed._exact_sum` against math.fsum, compared with ==."""
+
+    def test_random_arrays(self, monkeypatch):
+        monkeypatch.setattr(mixed, "_FSUM_DIRECT", 0)  # the binned sum at every size
+        rng = np.random.default_rng(2015)
+        for i in range(2000):
+            n = int(10 ** rng.uniform(0, 5))
+            if i % 4 == 0:
+                values = rng.uniform(size=n)
+            elif i % 4 == 1:
+                values = np.exp(rng.uniform(-745, 0, n))  # down to subnormals
+            elif i % 4 == 2:
+                values = np.where(rng.uniform(size=n) < 0.3, 0.0, np.exp(rng.uniform(-745, 0, n)))
+            else:
+                values = np.full(n, rng.uniform())
+            assert mixed._exact_sum(values) == math.fsum(values.tolist())
+
+    def test_class_cap_and_benchmark_weights(self):
+        weights = np.random.default_rng(2016).dirichlet(np.ones(DEFAULT_CLASS_CAP))
+        assert mixed._exact_sum(weights) == math.fsum(weights.tolist())
+        # the mixed-bound benchmark's seed-1 gauss target at M = 512
+        tri = [0.2296179878403697, 0.4981872153368776, 0.2721947968227527]
+        bit = [0.31695796964586986, 0.6830420303541301]
+        comps = [standardize(IntDistribution(0, np.array(p))) for p in ([0.5, 0.5], tri, bit)]
+        mix = (0.31749470470987584, 0.3474222074563664, 0.33508308783375773)
+        target = MixedTarget(tuple(comps), mix)
+        dec = typical_decomposition(target, 512)
+        assert dec.n_classes == 21_675
+        assert mixed._exact_sum(dec.weights) == math.fsum(dec.weights.tolist())
+        assert dec.residual_mass == max(0.0, 1.0 - math.fsum(dec.weights.tolist()))
+
+    def test_residual_is_the_fsum_complement(self):
+        rng = np.random.default_rng(2017)
+        binned = 0
+        for _ in range(60):
+            target = random_mixture(rng, max_rank=4)
+            m = int(rng.integers(2, 700 if target.rank < 4 else 80))
+            dec = typical_decomposition(target, m, rng.choice([None, 0.5, 2.0]))
+            binned += dec.n_classes >= mixed._FSUM_DIRECT
+            assert dec.residual_mass == max(0.0, 1.0 - math.fsum(dec.weights.tolist()))
+        assert binned >= 10
+
+
 def one_class(counts, m: int) -> TypicalDecomposition:
     """A decomposition holding the single class ``counts`` and no residual mass."""
     return TypicalDecomposition(np.array([counts], dtype=np.int64), np.ones(1), 0.0, 1.0, m)
@@ -319,6 +363,16 @@ class TestMixedLowerBound:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             fidelity_mixed_lower_bound(HALF_HALF, 4, 0.0, method="pade")
+
+    @pytest.mark.parametrize("method", ["gauss", "exact"])
+    def test_refuses_a_decomposition_for_another_m_or_rank(self, method):
+        dec = typical_decomposition(HALF_HALF, 8)
+        with pytest.raises(ValueError, match="^decomposition is for M=8, not M=9$"):
+            fidelity_mixed_lower_bound(HALF_HALF, 9, 0.5, method=method, decomposition=dec)
+        skewed = standardize(IntDistribution(0, np.array([0.1, 0.9])))
+        wider = MixedTarget((FAIR0, FAIR1, skewed), (0.3, 0.3, 0.4))
+        with pytest.raises(ValueError, match="^decomposition is for rank 2, not rank 3$"):
+            fidelity_mixed_lower_bound(wider, 8, 0.5, method=method, decomposition=dec)
 
 
 class TestMixedFigureOfMerit:
