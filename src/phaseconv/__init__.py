@@ -3,10 +3,10 @@
 Library layout:
 
 - `distributions`: integer-supported probability vectors, convolution powers,
-  characteristic functions.
+  characteristic functions and the ln|phi|^2 kernel `log_char_sq`.
 - `u1`: misalignment posterior, pure-target fidelities, figures of merit,
   yield schedules M(N) and their convergence verdict.
-- `mixed`: typical-type-class decomposition, certified mixed-target bounds,
+- `mixed`: typical-type-class decomposition, mixed-target lower bounds,
   the exact mixed-target fidelity and its dense Uhlmann-fidelity oracle.
 - `zd`: exact cyclic-group protocol with geometric convergence.
 - `cli`: the `phaseconv` sweep runner.

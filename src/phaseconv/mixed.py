@@ -1,13 +1,15 @@
-"""Mixed-target conversion: certified fidelity lower bounds via typical type classes.
+"""Mixed-target conversion: fidelity lower bounds via typical type classes.
 
 A mixed target is a convex mixture of standard-form pure states.  Its M-copy
 power splits over type classes (compositions of M across the mixture
 components); keeping only classes whose empirical frequency stays within
 epsilon of the mixing weights leaves a small residual mass delta and a
-per-class fidelity that is again a pure-state quantity.  Joint concavity of
-the fidelity then certifies
+per-class fidelity that is again a pure-state quantity.  The bound
 
-    F(prepared, true) >= (1 - delta) * min over kept classes of F_class.
+    F(prepared, true) >= (1 - delta) * min over kept classes of F_class
+
+is not yet certified: its factor cites joint concavity of the squared
+fidelity, which is false, and the gauss floor can exceed the exact fidelity.
 
 The kept set is enumerated one integer interval per count, so ``class_cap``
 sees its exact size.  The exact floor's log fidelity is linear in the counts,
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .distributions import log_char_sq
 from .errors import CombinatorialBlowupError
 from .u1 import (
     TWO_PI,
@@ -44,10 +46,6 @@ _FSUM_DIRECT = 1024
 _SUM_BLOCK = 4096
 # entries per block of the exact floor: 2^18 to 2^20 timed alike, 2^16 1.5x slower
 _FLOOR_BLOCK = 1 << 18
-# below this many classes x angles the exact floor reads every class: selecting
-# the slice ends costs about 6 us (every class 17 against 24 us at 3 entries,
-# 77 against 46 us at 3,444)
-_ENDS_FROM = 1024
 
 
 @dataclass(frozen=True)
@@ -81,17 +79,6 @@ class MixedTarget:
     @property
     def component_variances(self) -> np.ndarray:
         return np.array([c.variance for c in self.components])
-
-    @cached_property
-    def _phase_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The exact floor's terms: per component (sum p)^2 - 1 and -4 c_d, c_d = sum_n p_n p_{n+d}; d / 2."""
-        width = max(len(c.spectrum) for c in self.components)
-        lags = np.zeros((self.rank, width - 1))
-        for j, c in enumerate(self.components):
-            probs = c.spectrum.probs
-            lags[j, : probs.size - 1] = -4.0 * np.correlate(probs, probs, "full")[probs.size :]
-        totals = np.array([math.fsum(c.spectrum.probs.tolist()) for c in self.components])
-        return ((totals - 1.0) * (totals + 1.0))[:, None], lags, 0.5 * np.arange(1.0, width)
 
 
 def epsilon_schedule(m_copies: int) -> float:
@@ -225,18 +212,15 @@ def fidelity_mixed_lower_bound(
     decomposition: TypicalDecomposition | None = None,
     class_cap: int = DEFAULT_CLASS_CAP,
 ):
-    """Certified lower bound (1 - delta) * min over classes of F_class(gamma).
+    """Lower bound (1 - delta) * min over classes of F_class(gamma), not yet certified.
 
-    ``method`` picks the per-class fidelity: "gauss" for the analytic model
-    exp(-M sigma_k^2 gamma^2) (certified for spectra it dominates, and the
-    regime the closed forms live in), "exact" for prod_j |phi_j(gamma)|^(2 k_j),
-    the fidelity of the class number distribution with no convolution built.
-    The exact floor is exp of the least sum_j k_j ln|phi_j|^2 over the two end
-    classes of each slice, ln|phi_j|^2 = log1p((sum p)^2 - 1 - 4 sum_d c_d
-    sin^2(d gamma / 2)) with c_d = sum_n p_n p_{n+d}: nonnegative terms, so relative
-    precision as gamma -> 0 (absolute near a zero of |phi_j|, which adds nothing
-    at k_j = 0 and gives a floor of 0 at k_j > 0).  A precomputed ``decomposition``
-    amortizes enumeration across gamma batches; it must be a `typical_decomposition`
+    The (1 - delta) factor cites joint concavity of the squared fidelity, which
+    is false, and the gauss floor can exceed the exact fidelity.  ``method``
+    picks the per-class fidelity: "gauss" for the model exp(-M sigma_k^2 gamma^2),
+    "exact" for prod_j |phi_j(gamma)|^(2 k_j), the class number distribution's
+    fidelity: exp of the least sum_j k_j ln|phi_j|^2 (`log_char_sq`) over the two
+    end classes of each slice.  A precomputed ``decomposition`` amortizes
+    enumeration across gamma batches; it must be a `typical_decomposition`
     result for this target and M (else ValueError).
     """
     if method not in ("gauss", "exact"):
@@ -253,25 +237,19 @@ def fidelity_mixed_lower_bound(
         widest = ((dec.counts / dec.m_copies) @ target.component_variances).max()
         floor = fidelity_pure_gauss(widest, m_copies, gamma)
     else:
-        flat = np.asarray(gamma, dtype=np.float64).reshape(-1)
-        counts = dec.counts
-        if dec.n_classes * flat.size >= _ENDS_FROM:
-            # log F_k is linear in k, and along a slice only the last two counts
-            # move, in opposite steps: each slice's least fidelity is at an end
-            head = dec.counts[:, :-2]
-            edge = np.concatenate(([True], (head[1:] != head[:-1]).any(axis=1), [True]))
-            counts = dec.counts[edge[:-1] | edge[1:]]  # edge[i]: row i starts a slice
-        counts = counts.astype(np.float64)
-        squares, lags, halves = target._phase_terms
-        block = max(1, _FLOOR_BLOCK // (len(counts) + len(halves)))
-        least = np.empty(flat.size)
-        for lo in range(0, flat.size, block):
-            # einsum's own loops, no BLAS: sum_d (-4 c_d) sin^2(d gamma / 2) per
-            # component, then sum_j k_j ln|phi_j|^2 per class and angle
-            sines = np.sin(np.multiply.outer(halves, flat[lo : lo + block])) ** 2
-            dev = squares + np.einsum("jd,dg->jg", lags, sines)
-            logs = np.log1p(dev, out=np.full(dev.shape, -np.finfo(float).max), where=dev > -1.0)
-            least[lo : lo + block] = np.einsum("ej,jg->eg", counts, logs).min(axis=0)
+        # log F_k is linear in k, and along a slice only the last two counts
+        # move, in opposite steps: each slice's least fidelity is at an end
+        head = dec.counts[:, :-2]
+        edge = np.concatenate(([True], (head[1:] != head[:-1]).any(axis=1), [True]))
+        counts = dec.counts[edge[:-1] | edge[1:]].astype(np.float64)  # edge[i]: row i starts a slice
+        logs = log_char_sq([c.spectrum for c in target.components], gamma).reshape(target.rank, -1)
+        # clamped, a vanishing |phi_j| adds 0 at k_j = 0 (not nan) and -inf at k_j > 0
+        np.maximum(logs, -np.finfo(float).max, out=logs)
+        block = max(1, _FLOOR_BLOCK // len(counts))
+        least = np.empty(logs.shape[1])
+        for lo in range(0, least.size, block):
+            # einsum's own loops, no BLAS: sum_j k_j ln|phi_j|^2 per class and angle
+            least[lo : lo + block] = np.einsum("ej,jg->eg", counts, logs[:, lo : lo + block]).min(axis=0)
         floor = np.exp(least).reshape(np.shape(gamma))
     out = (1.0 - dec.residual_mass) * np.asarray(floor, dtype=np.float64)
     return float(out) if np.ndim(out) == 0 else out
@@ -279,7 +257,7 @@ def fidelity_mixed_lower_bound(
 
 @dataclass(frozen=True)
 class MixedBoundResult:
-    """Posterior-averaged certified bound plus the decomposition that produced it."""
+    """Posterior-averaged bound plus the decomposition that produced it."""
 
     f_bound: float
     decomposition: TypicalDecomposition
@@ -296,7 +274,7 @@ def figure_of_merit_mixed_bound(
     grid_points: int | None = None,
     class_cap: int = DEFAULT_CLASS_CAP,
 ) -> MixedBoundResult:
-    """Average the certified bound over the exact N-copy misalignment posterior.
+    """Average the lower bound over the exact N-copy misalignment posterior.
 
     The integrand's bound factor is a min over class fidelities, hence only
     piecewise smooth; the midpoint rule on a dense uniform grid is used

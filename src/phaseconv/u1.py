@@ -26,7 +26,7 @@ from .distributions import (
     IntDistribution,
     amp_char_fn,
     amp_char_grid,
-    char_fn,
+    log_char_sq,
     moments,
     power_convolve,
     power_support_bound,
@@ -144,38 +144,31 @@ def posterior_density_gauss(spec: PosteriorSpec, gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def _exact_cdf_grid(spec: PosteriorSpec, grid_points: int):
-    edges = np.linspace(-math.pi, math.pi, grid_points + 1)
-    density = posterior_density_grid(spec, grid_points, midpoint=False)
-    # the density is 2 pi-periodic: the edge at +pi repeats the one at -pi
-    density = np.append(density, density[0])
-    # trapezoid CDF on the edge grid; the density is smooth and periodic
-    cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(edges))))
-    cdf /= cdf[-1]
-    return edges, cdf
-
-
 def sample_gamma(
     spec: PosteriorSpec,
     rng_seed,
     mode: str = "exact",
     size: int | None = None,
-    grid_points: int | None = None,
 ):
     """Draw misalignment angles from the chosen posterior; deterministic per seed.
 
-    ``mode="exact"`` inverts the exact posterior CDF on a dense uniform grid
-    (``grid_points`` defaults to max(4096, 4 * support length)); ``"gauss"``
-    draws from the Gaussian model and wraps into (-pi, pi].  ``rng_seed`` may
-    be an integer seed or a numpy Generator.  Returns a scalar when ``size``
-    is None, else an array of that length.
+    ``mode="exact"`` inverts the exact posterior CDF on a uniform grid of
+    max(4096, 4 * support length) points; ``"gauss"`` draws from the Gaussian
+    model and wraps into (-pi, pi].  ``rng_seed`` may be an integer seed or a
+    numpy Generator.  Returns a scalar when ``size`` is None, else an array of
+    that length.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     count = 1 if size is None else int(size)
     if mode == "exact":
-        points = grid_points or max(4096, 4 * len(spec.ncopy_spectrum))
-        edges, cdf = _exact_cdf_grid(spec, points)
-        draws = np.interp(rng.random(count), cdf, edges)
+        points = max(4096, 4 * len(spec.ncopy_spectrum))
+        edges = np.linspace(-math.pi, math.pi, points + 1)
+        # the density is 2 pi-periodic: the edge at +pi repeats the one at -pi
+        density = posterior_density_grid(spec, points, midpoint=False)
+        density = np.append(density, density[0])
+        # trapezoid CDF on the edge grid; the density is smooth and periodic
+        cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(edges))))
+        draws = np.interp(rng.random(count), cdf / cdf[-1], edges)
     elif mode == "gauss":
         if spec.gauss is None:
             raise ZeroVarianceError("asymmetry-free source: Gaussian posterior model undefined")
@@ -189,16 +182,13 @@ def sample_gamma(
 def fidelity_pure_exact(target: NumberState, m_copies: int, gamma):
     """Exact M-copy overlap fidelity |Sum_n Q_n e^{i n gamma}|^2 at misalignment gamma.
 
-    The M-copy characteristic function is the single-copy one to the M-th
-    power, so the fidelity is |phi_Q(gamma)|^(2M) and no convolution power is
-    built.
+    The M-copy characteristic function is the single-copy one to the M-th power,
+    so the fidelity is exp(M ln|phi_Q|^2) (`log_char_sq`); no convolution power is built.
     """
     if m_copies < 1:
         raise ValueError(f"m_copies must be >= 1, got {m_copies}")
-    ch = char_fn(target.spectrum, gamma)
-    if isinstance(ch, np.ndarray):
-        return (ch.real**2 + ch.imag**2) ** m_copies
-    return (abs(ch) ** 2) ** m_copies
+    out = np.exp(m_copies * log_char_sq([target.spectrum], gamma)[0])
+    return float(out) if out.ndim == 0 else out
 
 
 def fidelity_pure_gauss(sigma_sq: float, m_copies: int, gamma):
@@ -266,19 +256,16 @@ def figure_of_merit_quadrature(
 ) -> float:
     """Same figure of merit via uniform-grid quadrature over (-pi, pi].
 
-    With more grid points than twice the combined support span the rectangle
-    rule is exact for the integrand, making this an independent cross-check of
-    the autocorrelation route.
+    The target factor is `fidelity_pure_exact`.  With more grid points than twice
+    the N-copy source span plus M times the target span, the rectangle rule is
+    exact for the integrand: a cross-check of the autocorrelation route.
     """
     ncopy_src = power_convolve(source.spectrum, n_copies)
-    ncopy_tgt = power_convolve(target.spectrum, m_copies)
-    points = grid_points or (2 * (ncopy_src.span + ncopy_tgt.span) + 3)
+    points = grid_points or (2 * (ncopy_src.span + m_copies * target.spectrum.span) + 3)
     gamma = -math.pi + TWO_PI * (np.arange(points) + 0.5) / points
     amp = amp_char_fn(ncopy_src, gamma)
-    ch = char_fn(ncopy_tgt, gamma)
     density = (amp.real**2 + amp.imag**2) / TWO_PI
-    fidelity = ch.real**2 + ch.imag**2
-    return float(density @ fidelity) * TWO_PI / points
+    return float(density @ fidelity_pure_exact(target, m_copies, gamma)) * TWO_PI / points
 
 
 def figure_of_merit_closed(

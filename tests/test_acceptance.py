@@ -34,6 +34,7 @@ from phaseconv import (
     epsilon_schedule,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
+    fidelity_pure_exact,
     figure_of_merit_closed,
     figure_of_merit_exact,
     figure_of_merit_mc,
@@ -328,10 +329,19 @@ def _longdouble_floor(target, counts, gamma):
 
 
 def _slice_ends(counts):
-    """Rows of a rank-3 decomposition that start or end a run of equal first counts."""
+    """Rows of a rank-3 decomposition that start or end a run of equal first counts.
+
+    A decomposition of rank 1 or 2 is one slice, whose ends are its first and last rows.
+    """
+    if counts.shape[1] < 3:
+        return counts[[0, -1]]
     first = counts[:, 0]
     starts = np.flatnonzero(np.diff(first, prepend=-1))
     return counts[np.union1d(starts, np.append(starts[1:] - 1, len(first) - 1))]
+
+
+def _relative(got, ref):
+    return float((np.abs(got - ref) / ref).max())
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="np.longdouble is float64 here")
@@ -364,15 +374,53 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
         worst_abs = max(worst_abs, float(np.abs(got - ref).max()))
         vanishing = bool(dec.counts[:, :2].any())  # a class holds a copy of the fair bit or of tri
         zeros_ok = zeros_ok and bool(np.isfinite(got).all()) and bool(((got[[0, -1]] == 0.0) == vanishing).all())
+    # spectra whose floats do not sum to 1: at M = 2^20 a rounded sum(p) - 1 moves the
+    # fidelity by about 5e-11 relative, a dense phase sum's eps in |phi|^2 by about 5e-10
+    uniform = standardize(IntDistribution(3, np.ones(50) / 50))
+    raw = np.random.default_rng(16).random(7)
+    random7 = standardize(IntDistribution(0, raw / raw.sum()))
+    unsummed = all(math.fsum(s.spectrum.probs.tolist() + [-1.0]) != 0.0 for s in (uniform, random7))
+    pair = MixedTarget((uniform, random7), (0.4, 0.6))
+    bulk, bulk_points = 0.0, 0
+    for m in (4096, 2**20):
+        angles = np.concatenate([midpoints, midpoints / math.sqrt(m)])  # the second set spans the peak
+        for state in (uniform, random7):
+            ref = _longdouble_floor(MixedTarget.pure(state), np.array([[m]]), angles)
+            kept = ref > 1e-10
+            bulk = max(bulk, _relative(fidelity_pure_exact(state, m, angles)[kept], ref[kept]))
+            bulk_points += int(kept.sum())
+        dec = typical_decomposition(pair, m)
+        got = fidelity_mixed_lower_bound(pair, m, angles, method="exact", decomposition=dec)
+        ref = _longdouble_floor(pair, _slice_ends(dec.counts), angles) * (1 - np.longdouble(dec.residual_mass))
+        kept = ref > 1e-10
+        bulk = max(bulk, _relative(got[kept], ref[kept]))
+        bulk_points += int(kept.sum())
+    # relative precision next to the zeros of the fair bit and tri at +-pi, where
+    # |phi_j|^2 falls to 6e-7; the ends themselves are the exact-zero leg above
+    inside = np.linspace(-math.pi, math.pi, 4001)[1:-1]
+    near = 0.0
+    for m in (1, 2, 3, 4):
+        dec = typical_decomposition(target, m, 2.0)  # every class
+        got = fidelity_mixed_lower_bound(target, m, inside, method="exact", decomposition=dec)
+        ref = _longdouble_floor(target, _slice_ends(dec.counts), inside) * (1 - np.longdouble(dec.residual_mass))
+        near = max(near, _relative(got, ref))
+        for state in target.components:
+            ref = _longdouble_floor(MixedTarget.pure(state), np.array([[m]]), inside)
+            near = max(near, _relative(fidelity_pure_exact(state, m, inside), ref))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and worst_abs <= 1e-14 and zeros_ok and elapsed < 60.0
+    ok = ok and unsummed and bulk <= 1e-12 and near <= 1e-11
     assert report(
         "C14",
         ok,
         f"exact floor vs long double oracle on 257 midpoints where it exceeds 1e-10, relative: "
         f"{'; '.join(lines)}, required <= 1e-12; on 257 angles from -pi to pi: absolute "
         f"{worst_abs:.1e}, required <= 1e-14, and 0 at +-pi exactly where a class holds a copy "
-        f"of a component that vanishes there: {zeros_ok}; {elapsed:.2f}s",
+        f"of a component that vanishes there: {zeros_ok}; fidelity_pure_exact and the floor at "
+        f"M = 4096 and 2^20 on spectra whose floats do not sum to 1 ({unsummed}), relative "
+        f"{bulk:.1e} over {bulk_points} values above 1e-10, required <= 1e-12; both at M = 1-4 on "
+        f"the 3,999 angles inside a 4,001-point grid over [-pi, pi], relative {near:.1e}, "
+        f"required <= 1e-11; {elapsed:.2f}s",
     )
 
 

@@ -18,6 +18,7 @@ from phaseconv.distributions import (
     convolve,
     gaussian_pmf,
     l1_distance,
+    log_char_sq,
     moments,
     power_convolve,
     power_support_bound,
@@ -338,3 +339,41 @@ class TestCharacteristicFunctions:
         batch = amp_char_fn(p, gammas)
         single = np.array([amp_char_fn(p, g) for g in gammas[:25]])
         np.testing.assert_allclose(batch[:25], single, atol=1e-14)
+
+
+class TestLogCharSq:
+    def test_offsets_do_not_enter(self):
+        rng = np.random.default_rng(41)
+        spectra = [random_spectrum(rng), IntDistribution(0, np.array([0.25, 0.5, 0.25]))]
+        grid = np.linspace(-np.pi, np.pi, 1001)
+        near = log_char_sq(spectra, grid)
+        assert (np.exp(near[1]) < distributions._DENSE_BELOW).any()  # the dense sum runs too
+        far = log_char_sq([IntDistribution(p.offset + 10**8, p.probs) for p in spectra], grid)
+        assert np.array_equal(near, far)
+
+    def test_shape(self):
+        spectra = [FAIR, IntDistribution(2, np.array([0.2, 0.5, 0.3]))]
+        assert log_char_sq(spectra, 0.3).shape == (2,)
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        out = log_char_sq(spectra, grid)
+        assert out.shape == (2, 3, 4)
+        np.testing.assert_array_equal(out[1], log_char_sq(spectra[1:], grid.reshape(-1))[0].reshape(3, 4))
+
+    def test_fair_bit_vanishes_at_pi(self):
+        out = log_char_sq([FAIR], np.array([-np.pi, 0.0, np.pi]))
+        assert out[0, 0] == -np.inf and out[0, 2] == -np.inf and out[0, 1] == 0.0
+
+    def test_matches_char_fn(self):
+        rng = np.random.default_rng(17)
+        grid = np.linspace(-np.pi, np.pi, 4096)
+        spectra = [random_spectrum(rng, max_len=12) for _ in range(8)]
+        logs = log_char_sq(spectra, grid)
+        for p, row in zip(spectra, logs):
+            ch = char_fn(p, grid)
+            np.testing.assert_allclose(np.exp(row), ch.real**2 + ch.imag**2, rtol=0, atol=1e-15)
+
+    def test_at_zero_is_twice_the_log_of_the_float_sum(self):
+        p = IntDistribution(0, np.ones(50) / 50)
+        excess = math.fsum(p.probs.tolist() + [-1.0])  # the floats sum to 1 + 2.1e-17
+        assert excess != 0.0
+        assert log_char_sq([p], 0.0)[0] == pytest.approx(2.0 * math.log1p(excess), rel=1e-15)
