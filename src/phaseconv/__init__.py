@@ -6,10 +6,13 @@ Library layout:
   characteristic functions and the ln|phi|^2 kernel `log_char_sq`.
 - `u1`: misalignment posterior, pure-target fidelities, figures of merit,
   yield schedules M(N) and their convergence verdict.
-- `mixed`: typical-type-class decomposition, mixed-target lower bounds,
-  the exact mixed-target fidelity and its dense Uhlmann-fidelity oracle.
+- `mixed`: typical-type-class decomposition, mixed-target lower bounds and
+  the exact mixed-target fidelity in closed form.
 - `zd`: exact cyclic-group protocol with geometric convergence.
 - `cli`: the `phaseconv` sweep runner.
+
+The slow independent oracles that check these (direct convolution, dense
+phase sums, Uhlmann fidelity, brute-force enumeration) live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -20,9 +23,6 @@ from .distributions import (
     amp_char_fn,
     amp_char_grid,
     char_fn,
-    convolve,
-    gaussian_pmf,
-    l1_distance,
     moments,
     power_convolve,
     power_support_bound,
@@ -35,7 +35,6 @@ from .errors import (
     PhaseconvError,
     PrecisionLossError,
     ResourceCapError,
-    SupportTooNarrowError,
     ZeroVarianceError,
 )
 from .mixed import (
@@ -46,7 +45,6 @@ from .mixed import (
     fidelity_mixed_lower_bound,
     figure_of_merit_mixed_bound,
     typical_decomposition,
-    uhlmann_fidelity,
 )
 from .u1 import (
     NumberState,
@@ -58,20 +56,15 @@ from .u1 import (
     figure_of_merit_closed,
     figure_of_merit_exact,
     figure_of_merit_mc,
-    figure_of_merit_quadrature,
-    posterior_density_exact,
     posterior_density_gauss,
     posterior_density_grid,
     posterior_gauss_distance,
     rate_verdict,
     sample_gamma,
-    standardize,
-    wrap_angle,
 )
 from .zd import (
     CyclicCoeffs,
     CyclicState,
-    brute_force_coeffs,
     canonical_coeffs,
     contraction_rate,
     deviation_distribution,

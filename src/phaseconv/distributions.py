@@ -1,8 +1,7 @@
 """Arithmetic on probability distributions with contiguous integer support.
 
 These distributions carry the number spectra of the whole package: single-copy
-spectra, their N-copy convolution powers, discretized Gaussian references, and
-the cyclic coefficient vectors all live in the same representation, a mass
+spectra and their N-copy convolution powers share one representation, a mass
 vector plus an absolute integer offset.  Storing the offset keeps convolutions
 of shifted spectra exact.
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrecisionLossError, SupportTooNarrowError
+from .errors import PrecisionLossError
 
 # Leading/trailing masses strictly below this are dropped to keep FFT sizes
 # small; every trimming entry point takes it as an argument.
@@ -118,15 +117,6 @@ def _trim(offset: int, values: np.ndarray, threshold: float):
         raise ValueError("all masses at or below the trim threshold")
     lo, hi = keep[0], keep[-1]
     return offset + int(lo), values[lo : hi + 1]
-
-
-def convolve(a: IntDistribution, b: IntDistribution) -> IntDistribution:
-    """Distribution of the sum of independent draws from ``a`` and ``b``.
-
-    Direct (non-FFT) convolution; this is the reference the FFT-based
-    convolution powers are checked against.
-    """
-    return IntDistribution.from_raw(a.offset + b.offset, np.convolve(a.probs, b.probs), 0.0)
 
 
 def _fft_length(n: int) -> int:
@@ -248,54 +238,6 @@ def moments(p: IntDistribution) -> tuple[float, float]:
     mean = float(n @ p.probs)
     variance = float(((n - mean) ** 2) @ p.probs)
     return mean, variance
-
-
-def gaussian_pmf(
-    model: GaussianModel,
-    support: tuple[int, int] | None = None,
-    *,
-    tail_tol: float = 1e-9,
-    trim_threshold: float = TRIM_THRESHOLD,
-) -> IntDistribution:
-    """Gaussian density sampled on integer points and renormalized to mass 1.
-
-    ``support`` is an inclusive integer range ``(lo, hi)``; it must cover
-    mean +/- 8 standard deviations.  When omitted, a range covering 8.5
-    standard deviations is used.  Raises `SupportTooNarrowError` when the
-    Gaussian mass outside ``[lo - 0.5, hi + 0.5]`` exceeds ``tail_tol``.
-    """
-    sigma = math.sqrt(model.variance)
-    if support is None:
-        lo = math.floor(model.mean - 8.5 * sigma)
-        hi = math.ceil(model.mean + 8.5 * sigma)
-    else:
-        lo, hi = int(support[0]), int(support[1])
-        if lo > hi:
-            raise ValueError(f"empty support ({lo}, {hi})")
-
-    root2 = math.sqrt(2.0)
-    tail = 0.5 * math.erfc((model.mean - (lo - 0.5)) / (sigma * root2))
-    tail += 0.5 * math.erfc(((hi + 0.5) - model.mean) / (sigma * root2))
-    if tail > tail_tol:
-        raise SupportTooNarrowError(
-            f"support ({lo}, {hi}) truncates mass {tail:.3e} > {tail_tol:.1e} "
-            f"for mean={model.mean}, variance={model.variance}"
-        )
-
-    n = np.arange(lo, hi + 1, dtype=np.float64)
-    values = np.exp(-((n - model.mean) ** 2) / (2.0 * model.variance))
-    values /= math.sqrt(2.0 * math.pi * model.variance)
-    return IntDistribution.from_raw(lo, values, trim_threshold)
-
-
-def l1_distance(a: IntDistribution, b: IntDistribution) -> float:
-    """Sum of |a_n - b_n| over the union of supports, aligned by absolute position."""
-    lo = min(a.offset, b.offset)
-    hi = max(a.offset + len(a), b.offset + len(b))
-    grid = np.zeros(hi - lo)
-    grid[a.offset - lo : a.offset - lo + len(a)] = a.probs
-    grid[b.offset - lo : b.offset - lo + len(b)] -= b.probs
-    return float(np.abs(grid).sum())
 
 
 def _phase_sum(weights: np.ndarray, offset: int, gamma):

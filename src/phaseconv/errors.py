@@ -9,10 +9,6 @@ class PrecisionLossError(PhaseconvError):
     """FFT round-off pushed total probability mass outside the accepted budget."""
 
 
-class SupportTooNarrowError(PhaseconvError, ValueError):
-    """Requested integer support truncates more Gaussian mass than allowed."""
-
-
 class GappedSpectrumError(PhaseconvError, ValueError):
     """Number spectrum has an interior zero, so it is not gapless."""
 

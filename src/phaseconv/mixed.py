@@ -15,7 +15,8 @@ The kept set is enumerated one integer interval per count, so ``class_cap``
 sees its exact size.  The exact floor's log fidelity is linear in the counts,
 so it reads only the intervals' ends, in one pass over them in log space.
 The exact mixed fidelity the bound is checked against is a closed form in the
-component fidelities; the Uhlmann fidelity of a dense embedding is its oracle.
+component fidelities; the tests check it against the Uhlmann fidelity of a
+dense embedding.
 """
 
 from __future__ import annotations
@@ -292,60 +293,20 @@ def figure_of_merit_mixed_bound(
     return MixedBoundResult(value, dec)
 
 
-def uhlmann_fidelity(rho, sigma) -> float:
-    """Oracle: Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of dense arrays.
-
-    Square-root convention (equals overlap |<a|b>|^2 on pure states).  On
-    `embedded_density` it is the independent check of the identity in
-    `exact_mixed_fidelity_small`; no library path calls it.
-    """
-    a = np.asarray(rho, dtype=np.complex128)
-    b = np.asarray(sigma, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    w, u = np.linalg.eigh(a)
-    # rank-deficient inputs put +-eps noise in the null space; sqrt would blow
-    # each such mode up to ~1e-8, so zero everything below a relative floor
-    w = np.where(w < max(float(w.max()), 0.0) * 1e-12, 0.0, w)
-    sqrt_a = (u * np.sqrt(w)) @ u.conj().T
-    inner = sqrt_a @ b @ sqrt_a
-    eigs = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    eigs = np.where(eigs < max(float(eigs.max()), 0.0) * 1e-12, 0.0, eigs)
-    return float(np.sqrt(eigs).sum() ** 2)
-
-
-def embedded_density(target: MixedTarget, gamma: float = 0.0) -> np.ndarray:
-    """Oracle: dense single-copy density matrix of the (phase-shifted) mixture.
-
-    Components may share number support, so each carries a multiplicity
-    register: component k lives on flat indices n * R + k, making distinct
-    components orthogonal by construction while the phase action stays
-    diagonal with angle n * gamma.  The matrix has (n_max + 1) * R rows; only
-    the oracle checks of `exact_mixed_fidelity_small` build it.
-    """
-    r = target.rank
-    dim = (max(c.spectrum.offset + c.spectrum.span for c in target.components) + 1) * r
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    for k, (comp, w) in enumerate(zip(target.components, target.weights)):
-        spec = comp.spectrum
-        numbers = spec.offset + np.arange(len(spec))
-        shifted = np.zeros(dim, dtype=np.complex128)
-        shifted[numbers * r + k] = np.sqrt(spec.probs) * np.exp(1j * numbers * gamma)
-        rho += w * np.outer(shifted, shifted.conj())
-    return rho
-
-
 def exact_mixed_fidelity_small(target: MixedTarget, m_copies: int, gamma: float) -> float:
     """Exact F(tau^(x M), tau_gamma^(x M)) of the mixture tau and its phase-shifted copy.
 
-    In the embedding of `embedded_density` both operators are block diagonal
-    over the components' registers, with rank-one blocks t_k |psi_k><psi_k|.
-    Root fidelity adds over such blocks and multiplies over copies, so
+    Each component carries a multiplicity register: component k lives on the
+    basis states |n, k>, so distinct components are orthogonal while the phase
+    action stays diagonal with angle n * gamma.  Both operators are then block
+    diagonal over the registers, with rank-one blocks t_k |psi_k><psi_k|.  Root
+    fidelity adds over such blocks and multiplies over copies, so
 
         F = (sum_k t_k |phi_k(gamma)|)^(2M),
 
     with |phi_k|^2 the single-copy `fidelity_pure_exact`.  No matrix is built;
-    `uhlmann_fidelity` on the embedding is the oracle of this identity.
+    the tests check this identity against the Uhlmann fidelity of the dense
+    embedding.
     """
     if m_copies < 1:
         raise ValueError(f"m_copies must be >= 1, got {m_copies}")

@@ -9,8 +9,7 @@ merit).
 
 Everything here is exact up to floating point: posteriors and fidelities are
 finite trigonometric polynomials, so the figure of merit is an inner product
-of autocorrelation sequences and uniform-grid quadrature integrates it with no
-discretization error.  The closed-form large-N/large-M expression is kept as a
+of autocorrelation sequences.  The closed-form large-N/large-M expression is kept as a
 prediction to compare against, never as the computation.
 """
 
@@ -24,7 +23,6 @@ import numpy as np
 from .distributions import (
     GaussianModel,
     IntDistribution,
-    amp_char_fn,
     amp_char_grid,
     log_char_sq,
     moments,
@@ -81,11 +79,6 @@ class NumberState:
         return len(self.spectrum) == 1
 
 
-def standardize(raw_spectrum: IntDistribution) -> NumberState:
-    """Wrap a number spectrum as a standard-form state, validating its hypotheses."""
-    return NumberState(raw_spectrum)
-
-
 @dataclass(frozen=True)
 class PosteriorSpec:
     """Inputs of the misalignment posterior for an N-copy source.
@@ -106,29 +99,14 @@ class PosteriorSpec:
         return cls(power_convolve(source.spectrum, n_copies), n_copies, gauss)
 
 
-def wrap_angle(gamma):
-    """Reduce angles to the principal interval (-pi, pi]."""
-    return math.pi - np.mod(math.pi - np.asarray(gamma, dtype=np.float64), TWO_PI)
-
-
-def posterior_density_exact(spec: PosteriorSpec, gamma):
-    """Exact misalignment posterior density (per radian) at gamma.
-
-    This is the Born probability of the covariant measurement seeded by the
-    uniform-amplitude vector: |Sum_n sqrt(P_n) e^{i n gamma}|^2 / (2 pi).
-    It integrates to exactly 1 over (-pi, pi].  Evaluated by a dense phase
-    sum at arbitrary angles; it is the oracle `posterior_density_grid` is
-    checked against.
-    """
-    amp = amp_char_fn(spec.ncopy_spectrum, gamma)
-    return (amp.real**2 + amp.imag**2) / TWO_PI if isinstance(amp, np.ndarray) else abs(amp) ** 2 / TWO_PI
-
-
 def posterior_density_grid(spec: PosteriorSpec, grid_points: int, *, midpoint: bool) -> np.ndarray:
-    """`posterior_density_exact` on the uniform grid -pi + 2 pi (j + s) / G, j = 0 .. G-1.
+    """Exact misalignment posterior density (per radian) on the grid -pi + 2 pi (j + s) / G.
 
-    ``s`` is 1/2 with ``midpoint`` and 0 without; one FFT of the folded
-    amplitudes (`amp_char_grid`) replaces the dense phase sum.
+    The density is the Born probability of the covariant measurement seeded
+    by the uniform-amplitude vector, |Sum_n sqrt(P_n) e^{i n gamma}|^2 / (2 pi),
+    and integrates to exactly 1 over (-pi, pi].  ``s`` is 1/2 with ``midpoint``
+    and 0 without, j = 0 .. G-1; one FFT of the folded amplitudes
+    (`amp_char_grid`) evaluates it at every grid point.
     """
     amp = amp_char_grid(spec.ncopy_spectrum, grid_points, midpoint=midpoint)
     return (amp.real**2 + amp.imag**2) / TWO_PI
@@ -144,38 +122,23 @@ def posterior_density_gauss(spec: PosteriorSpec, gamma):
     return float(out) if out.ndim == 0 else out
 
 
-def sample_gamma(
-    spec: PosteriorSpec,
-    rng_seed,
-    mode: str = "exact",
-    size: int | None = None,
-):
-    """Draw misalignment angles from the chosen posterior; deterministic per seed.
+def sample_gamma(spec: PosteriorSpec, rng_seed, size: int | None = None):
+    """Draw misalignment angles from the exact posterior; deterministic per seed.
 
-    ``mode="exact"`` inverts the exact posterior CDF on a uniform grid of
-    max(4096, 4 * support length) points; ``"gauss"`` draws from the Gaussian
-    model and wraps into (-pi, pi].  ``rng_seed`` may be an integer seed or a
-    numpy Generator.  Returns a scalar when ``size`` is None, else an array of
-    that length.
+    Inverts the exact posterior CDF on a uniform grid of max(4096, 4 * support
+    length) points.  ``rng_seed`` may be an integer seed or a numpy Generator.
+    Returns a scalar when ``size`` is None, else an array of that length.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     count = 1 if size is None else int(size)
-    if mode == "exact":
-        points = max(4096, 4 * len(spec.ncopy_spectrum))
-        edges = np.linspace(-math.pi, math.pi, points + 1)
-        # the density is 2 pi-periodic: the edge at +pi repeats the one at -pi
-        density = posterior_density_grid(spec, points, midpoint=False)
-        density = np.append(density, density[0])
-        # trapezoid CDF on the edge grid; the density is smooth and periodic
-        cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(edges))))
-        draws = np.interp(rng.random(count), cdf / cdf[-1], edges)
-    elif mode == "gauss":
-        if spec.gauss is None:
-            raise ZeroVarianceError("asymmetry-free source: Gaussian posterior model undefined")
-        sd = 1.0 / math.sqrt(4.0 * spec.gauss.variance)
-        draws = wrap_angle(rng.normal(0.0, sd, count))
-    else:
-        raise ValueError(f"mode must be 'exact' or 'gauss', got {mode!r}")
+    points = max(4096, 4 * len(spec.ncopy_spectrum))
+    edges = np.linspace(-math.pi, math.pi, points + 1)
+    # the density is 2 pi-periodic: the edge at +pi repeats the one at -pi
+    density = posterior_density_grid(spec, points, midpoint=False)
+    density = np.append(density, density[0])
+    # trapezoid CDF on the edge grid; the density is smooth and periodic
+    cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(edges))))
+    draws = np.interp(rng.random(count), cdf / cdf[-1], edges)
     return float(draws[0]) if size is None else draws
 
 
@@ -245,27 +208,6 @@ def figure_of_merit_exact(
         _ncopy_posterior(source, n_copies, posterior).ncopy_spectrum,
         power_convolve(target.spectrum, m_copies),
     )
-
-
-def figure_of_merit_quadrature(
-    source: NumberState,
-    n_copies: int,
-    target: NumberState,
-    m_copies: int,
-    grid_points: int | None = None,
-) -> float:
-    """Same figure of merit via uniform-grid quadrature over (-pi, pi].
-
-    The target factor is `fidelity_pure_exact`.  With more grid points than twice
-    the N-copy source span plus M times the target span, the rectangle rule is
-    exact for the integrand: a cross-check of the autocorrelation route.
-    """
-    ncopy_src = power_convolve(source.spectrum, n_copies)
-    points = grid_points or (2 * (ncopy_src.span + m_copies * target.spectrum.span) + 3)
-    gamma = -math.pi + TWO_PI * (np.arange(points) + 0.5) / points
-    amp = amp_char_fn(ncopy_src, gamma)
-    density = (amp.real**2 + amp.imag**2) / TWO_PI
-    return float(density @ fidelity_pure_exact(target, m_copies, gamma)) * TWO_PI / points
 
 
 def figure_of_merit_closed(

@@ -106,22 +106,6 @@ def canonical_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
     return CyclicCoeffs(c / c.sum())
 
 
-def brute_force_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
-    """Same convolution power by direct O(N d^2) summation; oracle for the DFT route."""
-    if n_copies < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    d = source.d
-    cur = np.zeros(d)
-    cur[0] = 1.0
-    for _ in range(n_copies):
-        nxt = np.zeros(d)
-        for i in range(d):
-            if cur[i] > 0:
-                nxt += cur[i] * np.roll(source.probs, i)
-        cur = nxt
-    return CyclicCoeffs(cur / cur.sum())
-
-
 def measure_eta_basis(state: CyclicState) -> np.ndarray:
     """Outcome distribution of the eta-basis measurement: |<eta_m|psi>|^2 = |DFT(a)_m|^2 / d."""
     amps = np.fft.fft(state.amplitudes)

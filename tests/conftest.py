@@ -1,4 +1,8 @@
-"""Shared helpers: random instances and slow independent oracles."""
+"""Shared helpers: random instances and slow independent oracles.
+
+The library computes each quantity on one fast path; the oracles here compute
+the same quantities the slow, direct way and exist only to check those paths.
+"""
 import itertools
 import math
 from fractions import Fraction
@@ -6,9 +10,17 @@ from functools import reduce
 
 import numpy as np
 
-from phaseconv import IntDistribution, MixedTarget, NumberState, standardize
-from phaseconv.distributions import convolve, power_convolve
-from phaseconv.mixed import embedded_density, uhlmann_fidelity
+from phaseconv import (
+    CyclicCoeffs,
+    GaussianModel,
+    IntDistribution,
+    MixedTarget,
+    NumberState,
+    PosteriorSpec,
+    fidelity_pure_exact,
+)
+from phaseconv.distributions import TRIM_THRESHOLD, amp_char_fn, power_convolve
+from phaseconv.u1 import TWO_PI
 
 
 def random_spectrum(rng, max_len: int = 6, max_offset: int = 3) -> IntDistribution:
@@ -20,7 +32,7 @@ def random_spectrum(rng, max_len: int = 6, max_offset: int = 3) -> IntDistributi
 
 
 def random_state(rng, max_len: int = 6, max_offset: int = 3) -> NumberState:
-    return standardize(random_spectrum(rng, max_len, max_offset))
+    return NumberState(random_spectrum(rng, max_len, max_offset))
 
 
 def random_mixture(rng, max_rank: int = 3) -> MixedTarget:
@@ -41,6 +53,140 @@ def random_density(rng, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def wrap_angle(gamma):
+    """Reduce angles to the principal interval (-pi, pi]."""
+    return math.pi - np.mod(math.pi - np.asarray(gamma, dtype=np.float64), TWO_PI)
+
+
+def convolve(a: IntDistribution, b: IntDistribution) -> IntDistribution:
+    """Oracle: distribution of the sum of independent draws from ``a`` and ``b``, by direct convolution."""
+    return IntDistribution.from_raw(a.offset + b.offset, np.convolve(a.probs, b.probs), 0.0)
+
+
+def l1_distance(a: IntDistribution, b: IntDistribution) -> float:
+    """Sum of |a_n - b_n| over the union of supports, aligned by absolute position."""
+    lo = min(a.offset, b.offset)
+    hi = max(a.offset + len(a), b.offset + len(b))
+    grid = np.zeros(hi - lo)
+    grid[a.offset - lo : a.offset - lo + len(a)] = a.probs
+    grid[b.offset - lo : b.offset - lo + len(b)] -= b.probs
+    return float(np.abs(grid).sum())
+
+
+def gaussian_pmf(
+    model: GaussianModel,
+    support: tuple[int, int] | None = None,
+    *,
+    tail_tol: float = 1e-9,
+    trim_threshold: float = TRIM_THRESHOLD,
+) -> IntDistribution:
+    """Oracle: Gaussian density sampled on integer points and renormalized to mass 1.
+
+    ``support`` is an inclusive integer range ``(lo, hi)``; when omitted, a
+    range covering 8.5 standard deviations is used.  Raises ValueError when
+    the Gaussian mass outside ``[lo - 0.5, hi + 0.5]`` exceeds ``tail_tol``.
+    """
+    sigma = math.sqrt(model.variance)
+    if support is None:
+        lo = math.floor(model.mean - 8.5 * sigma)
+        hi = math.ceil(model.mean + 8.5 * sigma)
+    else:
+        lo, hi = int(support[0]), int(support[1])
+        if lo > hi:
+            raise ValueError(f"empty support ({lo}, {hi})")
+    root2 = math.sqrt(2.0)
+    tail = 0.5 * math.erfc((model.mean - (lo - 0.5)) / (sigma * root2))
+    tail += 0.5 * math.erfc(((hi + 0.5) - model.mean) / (sigma * root2))
+    if tail > tail_tol:
+        raise ValueError(f"support ({lo}, {hi}) truncates mass {tail:.3e} > {tail_tol:.1e}")
+    n = np.arange(lo, hi + 1, dtype=np.float64)
+    values = np.exp(-((n - model.mean) ** 2) / (2.0 * model.variance))
+    values /= math.sqrt(2.0 * math.pi * model.variance)
+    return IntDistribution.from_raw(lo, values, trim_threshold)
+
+
+def posterior_density_exact(spec: PosteriorSpec, gamma):
+    """Oracle: the misalignment posterior |Sum_n sqrt(P_n) e^{i n gamma}|^2 / (2 pi) by a dense phase sum.
+
+    Any angles; the library evaluates it only on uniform grids, by one FFT
+    (`posterior_density_grid`).
+    """
+    amp = amp_char_fn(spec.ncopy_spectrum, gamma)
+    return (amp.real**2 + amp.imag**2) / TWO_PI if isinstance(amp, np.ndarray) else abs(amp) ** 2 / TWO_PI
+
+
+def figure_of_merit_quadrature(
+    source: NumberState, n_copies: int, target: NumberState, m_copies: int, grid_points: int | None = None
+) -> float:
+    """Oracle: the figure of merit by midpoint quadrature of posterior times fidelity over (-pi, pi].
+
+    With more grid points than twice the N-copy source span plus M times the
+    target span, the rule is exact for the integrand, a trigonometric
+    polynomial: a check of the library's autocorrelation route.
+    """
+    spec = PosteriorSpec.for_copies(source, n_copies)
+    points = grid_points or (2 * (spec.ncopy_spectrum.span + m_copies * target.spectrum.span) + 3)
+    gamma = -math.pi + TWO_PI * (np.arange(points) + 0.5) / points
+    density = posterior_density_exact(spec, gamma)
+    return float(density @ fidelity_pure_exact(target, m_copies, gamma)) * TWO_PI / points
+
+
+def brute_force_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
+    """Oracle: the N-fold cyclic convolution power by direct O(N d^2) summation."""
+    if n_copies < 1:
+        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
+    d = source.d
+    cur = np.zeros(d)
+    cur[0] = 1.0
+    for _ in range(n_copies):
+        nxt = np.zeros(d)
+        for i in range(d):
+            if cur[i] > 0:
+                nxt += cur[i] * np.roll(source.probs, i)
+        cur = nxt
+    return CyclicCoeffs(cur / cur.sum())
+
+
+def uhlmann_fidelity(rho, sigma) -> float:
+    """Oracle: Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of dense arrays.
+
+    Square-root convention (equals overlap |<a|b>|^2 on pure states).
+    """
+    a = np.asarray(rho, dtype=np.complex128)
+    b = np.asarray(sigma, dtype=np.complex128)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    w, u = np.linalg.eigh(a)
+    # rank-deficient inputs put +-eps noise in the null space; sqrt would blow
+    # each such mode up to ~1e-8, so zero everything below a relative floor
+    w = np.where(w < max(float(w.max()), 0.0) * 1e-12, 0.0, w)
+    sqrt_a = (u * np.sqrt(w)) @ u.conj().T
+    inner = sqrt_a @ b @ sqrt_a
+    eigs = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    eigs = np.where(eigs < max(float(eigs.max()), 0.0) * 1e-12, 0.0, eigs)
+    return float(np.sqrt(eigs).sum() ** 2)
+
+
+def embedded_density(target: MixedTarget, gamma: float = 0.0) -> np.ndarray:
+    """Oracle: dense single-copy density matrix of the (phase-shifted) mixture.
+
+    Components may share number support, so each carries a multiplicity
+    register: component k lives on flat indices n * R + k, making distinct
+    components orthogonal by construction while the phase action stays
+    diagonal with angle n * gamma.  The matrix has (n_max + 1) * R rows.
+    """
+    r = target.rank
+    dim = (max(c.spectrum.offset + c.spectrum.span for c in target.components) + 1) * r
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    for k, (comp, w) in enumerate(zip(target.components, target.weights)):
+        spec = comp.spectrum
+        numbers = spec.offset + np.arange(len(spec))
+        shifted = np.zeros(dim, dtype=np.complex128)
+        shifted[numbers * r + k] = np.sqrt(spec.probs) * np.exp(1j * numbers * gamma)
+        rho += w * np.outer(shifted, shifted.conj())
+    return rho
 
 
 def direct_power(p: IntDistribution, n: int) -> IntDistribution:

@@ -16,20 +16,24 @@ import pytest
 
 from conftest import (
     binomial_pmf,
+    brute_force_coeffs,
     direct_power,
     exact_power,
+    figure_of_merit_quadrature,
+    posterior_density_exact,
     random_density,
     random_mixture,
     random_state,
+    uhlmann_fidelity,
 )
 from phaseconv import (
     CyclicCoeffs,
     CyclicState,
     IntDistribution,
     MixedTarget,
+    NumberState,
     PosteriorSpec,
     RateSchedule,
-    brute_force_coeffs,
     canonical_coeffs,
     epsilon_schedule,
     exact_mixed_fidelity_small,
@@ -39,20 +43,16 @@ from phaseconv import (
     figure_of_merit_exact,
     figure_of_merit_mc,
     figure_of_merit_mixed_bound,
-    figure_of_merit_quadrature,
     measure_eta_basis,
-    posterior_density_exact,
     posterior_gauss_distance,
-    standardize,
     success_slope_fit,
     typical_decomposition,
-    uhlmann_fidelity,
 )
 from phaseconv.cli import main
 from phaseconv.distributions import TRIM_THRESHOLD, amp_char_fn, power_convolve
 
-FAIR = standardize(IntDistribution(0, np.array([0.5, 0.5])))
-FAIR1 = standardize(IntDistribution(1, np.array([0.5, 0.5])))
+FAIR = NumberState(IntDistribution(0, np.array([0.5, 0.5])))
+FAIR1 = NumberState(IntDistribution(1, np.array([0.5, 0.5])))
 
 
 def report(cid: str, ok: bool, detail: str) -> bool:
@@ -189,15 +189,25 @@ def test_c8_mixed_fidelity_oracles():
         rhs = uhlmann_fidelity(a1, b1) * uhlmann_fidelity(a2, b2)
         worst_mult = max(worst_mult, abs(lhs - rhs))
 
+    # joint concavity holds for sqrt(F), not for F
+    def root(a, b):
+        return math.sqrt(uhlmann_fidelity(a, b))
+
     worst_concavity = 0.0
     for _ in range(100):
         dim = int(rng.integers(2, 7))
         a1, a2 = random_density(rng, dim), random_density(rng, dim)
         b1, b2 = random_density(rng, dim), random_density(rng, dim)
         lam = float(rng.uniform(0.05, 0.95))
-        mixed = uhlmann_fidelity(lam * a1 + (1 - lam) * a2, lam * b1 + (1 - lam) * b2)
-        split = lam * uhlmann_fidelity(a1, b1) + (1 - lam) * uhlmann_fidelity(a2, b2)
+        mixed = root(lam * a1 + (1 - lam) * a2, lam * b1 + (1 - lam) * b2)
+        split = lam * root(a1, b1) + (1 - lam) * root(a2, b2)
         worst_concavity = min(worst_concavity, mixed - split)
+    # pinned: basis states e0, e1 against e0, e2 at lam = 1/2, where F = 1/4 falls
+    # below its average 1/2 and sqrt(F) = 1/2 meets its own
+    e0, e1, e2 = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])
+    pinned_f = uhlmann_fidelity((e0 + e1) / 2, (e0 + e2) / 2)
+    pinned_split = (root(e0, e0) + root(e1, e2)) / 2
+    worst_concavity = min(worst_concavity, math.sqrt(pinned_f) - pinned_split)
 
     worst_excess = -1.0
     for _ in range(25):
@@ -208,11 +218,17 @@ def test_c8_mixed_fidelity_oracles():
                 bound = fidelity_mixed_lower_bound(target, m, gamma, epsilon=2.0, method="exact")
                 worst_excess = max(worst_excess, bound - exact)
 
-    ok = worst_mult <= 1e-10 and worst_concavity >= -1e-10 and worst_excess <= 1e-10
+    ok = (
+        worst_mult <= 1e-10
+        and worst_concavity >= -1e-10
+        and abs(pinned_f - 0.25) <= 1e-12
+        and worst_excess <= 1e-10
+    )
     assert report(
         "C8",
         ok,
-        f"multiplicativity dev {worst_mult:.2e}; concavity slack {worst_concavity:.2e}; "
+        f"multiplicativity dev {worst_mult:.2e}; sqrt(F) concavity slack {worst_concavity:.2e} "
+        f"(pinned basis case: F = {pinned_f:.3g} against an average of 0.5); "
         f"bound - exact max {worst_excess:.2e}",
     )
 
@@ -248,7 +264,7 @@ def test_c10_posterior_distance_one_over_n():
     gamma = -math.pi + 2 * math.pi * (np.arange(grid_points) + 0.5) / grid_points
     ratios, worst_same, worst_direct = {}, 0.0, 0.0
     for label, probs in sources.items():
-        state = standardize(IntDistribution(0, np.array(probs)))
+        state = NumberState(IntDistribution(0, np.array(probs)))
         specs = [PosteriorSpec.for_copies(state, n) for n in (256, 1024, 4096)]
         tvs = [posterior_gauss_distance(spec, grid_points) for spec in specs]
         ratios[label] = [a / b for a, b in zip(tvs, tvs[1:])]
@@ -286,7 +302,7 @@ def test_c12_rank1_mixed_bound_ties_exact_figure_of_merit():
     # the posterior average of |phi|^(2M) on a grid wider than span_N + M span_target;
     # the oracle is the autocorrelation route, which builds no grid and no class
     start = time.perf_counter()
-    tri = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+    tri = NumberState(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
     states = {"fair": FAIR, "[0.2, 0.5, 0.3]@2": tri}
     worst, where = 0.0, None
     for source_name, source in states.items():
@@ -349,8 +365,8 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
     # ROADMAP item 2's rank-3 target; the floor is exp of a sum of M-scaled logs,
     # so a relative error of ln|phi|^2 grows M-fold in it
     start = time.perf_counter()
-    tri = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
-    skewed = standardize(IntDistribution(0, np.array([0.1, 0.9])))
+    tri = NumberState(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+    skewed = NumberState(IntDistribution(0, np.array([0.1, 0.9])))
     target = MixedTarget((FAIR, tri, skewed), (0.2, 0.3, 0.5))
     midpoints = -math.pi + 2 * math.pi * (np.arange(257) + 0.5) / 257
     edges = np.linspace(-math.pi, math.pi, 257)  # the fair bit (and tri) vanish at +-pi
@@ -376,9 +392,9 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
         zeros_ok = zeros_ok and bool(np.isfinite(got).all()) and bool(((got[[0, -1]] == 0.0) == vanishing).all())
     # spectra whose floats do not sum to 1: at M = 2^20 a rounded sum(p) - 1 moves the
     # fidelity by about 5e-11 relative, a dense phase sum's eps in |phi|^2 by about 5e-10
-    uniform = standardize(IntDistribution(3, np.ones(50) / 50))
+    uniform = NumberState(IntDistribution(3, np.ones(50) / 50))
     raw = np.random.default_rng(16).random(7)
-    random7 = standardize(IntDistribution(0, raw / raw.sum()))
+    random7 = NumberState(IntDistribution(0, raw / raw.sum()))
     unsummed = all(math.fsum(s.spectrum.probs.tolist() + [-1.0]) != 0.0 for s in (uniform, random7))
     pair = MixedTarget((uniform, random7), (0.4, 0.6))
     bulk, bulk_points = 0.0, 0
@@ -472,7 +488,7 @@ def test_c13_convolution_powers_against_exact_oracles(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["u1-fom", "--config", str(config), "--out", str(tmp_path / "fom.csv"), "--jobs", "1"])
-    rows = list(csv.DictReader((tmp_path / "fom.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "fom.csv").read_text().splitlines()))
     drift_warnings = [str(w.message) for w in caught if "mass drift" in str(w.message)]
     gaps = [abs(float(row["gap"])) if row["gap"] else math.inf for row in rows]
     big_row_ok = code == 0 and not any(row["error"] for row in rows) and max(gaps) <= 1e-11

