@@ -18,7 +18,6 @@ phase sums, Uhlmann fidelity, brute-force enumeration) live with the tests.
 __version__ = "0.1.0"
 
 from .distributions import (
-    GaussianModel,
     IntDistribution,
     amp_char_fn,
     amp_char_grid,

@@ -49,6 +49,7 @@ from .mixed import (
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
     figure_of_merit_mixed_bound,
+    typical_decomposition,
 )
 from .u1 import (
     CONVERGENCE_THRESHOLD,
@@ -269,20 +270,18 @@ def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = N
     n, m = row["N"], row["M"]
     source, target = config.source, config.target
     ensure_fft_cap(source, n, target, m, config.fft_cap)
-    posterior = None
+    posterior = None  # one N-copy source spectrum serves both the exact and the mc leg
     if "exact" in methods:
-        if "mc" in methods:  # one N-copy source spectrum serves both legs
-            posterior = PosteriorSpec.for_copies(source, n)
-        row["f_exact"] = figure_of_merit_exact(source, n, target, m, posterior=posterior)
+        posterior = PosteriorSpec.for_copies(source, n)
+        row["f_exact"] = figure_of_merit_exact(posterior, target, m)
     if "closed" in methods:
         row["f_closed"] = figure_of_merit_closed(source.variance, n, target.variance, m)
     if "exact" in methods and "closed" in methods:
         row["gap"] = row["f_exact"] - row["f_closed"]
     if "mc" in methods:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, m]))
-        est, err = figure_of_merit_mc(
-            source, n, target, m, config.mc_draws, rng, posterior=posterior
-        )
+        posterior = posterior or PosteriorSpec.for_copies(source, n)
+        est, err = figure_of_merit_mc(posterior, target, m, config.mc_draws, rng)
         row["f_mc"], row["f_mc_stderr"] = est, err
 
 
@@ -317,22 +316,25 @@ def _zd_row(config: SweepConfig, row: dict) -> None:
 
 
 def _bound_row(config: SweepConfig, row: dict) -> None:
-    res = figure_of_merit_mixed_bound(
-        config.source, row["N"], config.target, row["M"], epsilon=config.epsilon,
-        method=config.bound_method, grid_points=config.grid_points, class_cap=config.class_cap,
+    # the classes first: a class-cap refusal costs no N-copy power
+    dec = typical_decomposition(
+        config.target, row["M"], config.epsilon, class_cap=config.class_cap
     )
-    row["f_bound"] = res.f_bound
-    row["delta_rho"] = res.decomposition.residual_mass
-    row["epsilon"] = res.decomposition.epsilon_used
-    row["n_classes"] = res.decomposition.n_classes
+    spec = PosteriorSpec.for_copies(config.source, row["N"])
+    row["f_bound"] = figure_of_merit_mixed_bound(
+        spec, dec, method=config.bound_method, grid_points=config.grid_points
+    )
+    row["delta_rho"] = dec.residual_mass
+    row["epsilon"] = dec.epsilon_used
+    row["n_classes"] = dec.n_classes
 
 
 def _oracle_row(config: SweepConfig, row: dict) -> None:
     m, gamma = row["M"], row["gamma"]
     row["f_exact"] = exact_mixed_fidelity_small(config.target, m, gamma)
-    row["f_bound"] = fidelity_mixed_lower_bound(
-        config.target, m, gamma, epsilon=config.epsilon, method=config.bound_method
-    )
+    # the classes after f_exact: a row refused by the class cap keeps it
+    dec = typical_decomposition(config.target, m, config.epsilon)
+    row["f_bound"] = fidelity_mixed_lower_bound(dec, gamma, method=config.bound_method)
 
 
 def _clean(rows: list[dict]) -> bool:

@@ -9,8 +9,8 @@ An `IntDistribution` is a value: its offset and mass vector never change
 after construction, and every operation returns the same bits for the same
 inputs.  `power_convolve` takes one inverse real FFT of phi^N on a window
 inside the true support that a Bernstein tail bound sizes, trims once, at
-the end, and at the default trim threshold transforms no more than twice
-`power_support_bound` points, rounded up to a power of two.
+the end, and transforms no more than twice `power_support_bound` points,
+rounded up to a power of two.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import PrecisionLossError
 
-# Leading/trailing masses strictly below this are dropped to keep FFT sizes
-# small; every trimming entry point takes it as an argument.
+# Leading/trailing masses at or below this are dropped to keep FFT sizes
+# small: always by `power_convolve`, by default by `IntDistribution.from_raw`.
 TRIM_THRESHOLD = 1e-15
 
 # Total-mass drift budgets for FFT convolution powers: below WARN the mass is
@@ -99,18 +99,6 @@ class IntDistribution:
         return self.probs.size - 1
 
 
-@dataclass(frozen=True)
-class GaussianModel:
-    """Mean/variance pair for a Gaussian reference distribution."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (self.variance > 0):
-            raise ValueError(f"variance must be positive, got {self.variance}")
-
-
 def _trim(offset: int, values: np.ndarray, threshold: float):
     keep = np.flatnonzero(values > threshold)
     if keep.size == 0:
@@ -149,27 +137,21 @@ def _log_centred(probs: np.ndarray, scaled: int, theta: np.ndarray) -> np.ndarra
     return out
 
 
-def power_convolve(
-    p: IntDistribution,
-    n_copies: int,
-    *,
-    trim_threshold: float = TRIM_THRESHOLD,
-    mass_warn: float = MASS_WARN,
-    mass_fail: float = MASS_FAIL,
-) -> IntDistribution:
+def power_convolve(p: IntDistribution, n_copies: int) -> IntDistribution:
     """N-fold convolution power of ``p`` (sum of ``n_copies`` independent draws).
 
     One inverse real FFT of phi^N, the N-th power of the characteristic
     function, gives the masses on a window of L positions inside the true
     support (or covering it).  Bernstein's inequality sizes the window so that
     the mass outside it, which the transform folds in, is at most
-    ``trim_threshold`` * 1e-15 on each side; frequencies where |phi|^N is below
-    that stay zero.  L is a power of two, at the default threshold no longer
-    than ``2 * power_support_bound`` rounded up likewise.  phi^N is exp(N log
+    `TRIM_THRESHOLD` * 1e-15 on each side; frequencies where |phi|^N is below
+    that stay zero.  L is a power of two, no longer than
+    ``2 * power_support_bound`` rounded up likewise.  phi^N is exp(N log
     phi), the logarithm centred next to the mean so that its error does not
-    grow with N.  The result is clamped at zero and trimmed once; its mass
-    drift is renormalized silently below ``mass_warn``, renormalized with a
-    warning up to ``mass_fail``, and rejected beyond that.
+    grow with N.  The result is clamped at zero and trimmed once at
+    `TRIM_THRESHOLD`; its mass drift is renormalized silently below
+    `MASS_WARN`, renormalized with a warning up to `MASS_FAIL`, and rejected
+    beyond that.
     """
     if n_copies < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies}")
@@ -183,15 +165,13 @@ def power_convolve(
     span, k = probs.size - 1, np.arange(probs.size)
     mean = float(k @ probs)
     full = n * span + 1
-    tail = trim_threshold * 1e-15
-    size, start = _fft_length(full), 0
-    if tail > 0:
-        # Bernstein: mass beyond n * mean +/- t is at most exp(-ell) on each side
-        ell = -math.log(tail)
-        b = max(mean, span - mean) * ell / 3.0
-        t = b + math.sqrt(b * b + 2.0 * ell * n * float((k - mean) ** 2 @ probs))
-        size = min(size, _fft_length(2 * math.ceil(t) + 4))
-        start = min(max(round(n * mean) - size // 2, 0), max(full - size, 0))
+    tail = TRIM_THRESHOLD * 1e-15
+    # Bernstein: mass beyond n * mean +/- t is at most exp(-ell) on each side
+    ell = -math.log(tail)
+    b = max(mean, span - mean) * ell / 3.0
+    t = b + math.sqrt(b * b + 2.0 * ell * n * float((k - mean) ** 2 @ probs))
+    size = min(_fft_length(full), _fft_length(2 * math.ceil(t) + 4))
+    start = min(max(round(n * mean) - size // 2, 0), max(full - size, 0))
     j = np.flatnonzero(np.abs(np.fft.rfft(probs, size)) > tail ** (1.0 / n))
     # phi^n = exp(-i theta n c) (Sum_k p_k exp(-i (k - c) theta))^n; n c = whole + frac exactly
     scaled = round(mean * 2**20)
@@ -200,17 +180,17 @@ def power_convolve(
     shift = theta * (frac / 2**20) + (2.0 * math.pi / size) * ((whole - start) % size * j % size)
     spectrum = np.zeros(size // 2 + 1, dtype=np.complex128)
     spectrum[j] = np.exp(n * _log_centred(probs, scaled, theta) - 1j * shift)
-    lo, acc = _trim(start, np.clip(np.fft.irfft(spectrum, size), 0.0, None), trim_threshold)
+    lo, acc = _trim(start, np.clip(np.fft.irfft(spectrum, size), 0.0, None), TRIM_THRESHOLD)
 
     total = acc.sum()
     drift = abs(total - 1.0)
-    if drift > mass_fail:
+    if drift > MASS_FAIL:
         raise PrecisionLossError(
-            f"mass drift {drift:.3e} exceeds budget {mass_fail:.1e} for N={n_copies}"
+            f"mass drift {drift:.3e} exceeds budget {MASS_FAIL:.1e} for N={n_copies}"
         )
-    if drift > mass_warn:
+    if drift > MASS_WARN:
         warnings.warn(
-            f"power_convolve mass drift {drift:.3e} above {mass_warn:.1e} for N={n_copies}; "
+            f"power_convolve mass drift {drift:.3e} above {MASS_WARN:.1e} for N={n_copies}; "
             "renormalized",
             RuntimeWarning,
             stacklevel=2,
@@ -221,7 +201,7 @@ def power_convolve(
 
 
 def power_support_bound(p: IntDistribution, n_copies: int) -> int:
-    """Upper bound on ``len(power_convolve(p, n_copies))`` at the default trim threshold.
+    """Upper bound on ``len(power_convolve(p, n_copies))``.
 
     Hoeffding's inequality puts mass at most 2 exp(-2 t^2 / (N span^2)) at
     distance t or more from the mean, so every point whose mass exceeds

@@ -95,8 +95,9 @@ def epsilon_schedule(m_copies: int) -> float:
 
 @dataclass(frozen=True)
 class TypicalDecomposition:
-    """Kept classes: one composition of M per row of ``counts``, and their ``weights``."""
+    """Kept classes of ``target``^(x M): one composition of M per row of ``counts``, and their ``weights``."""
 
+    target: MixedTarget
     counts: np.ndarray
     weights: np.ndarray
     residual_mass: float
@@ -200,43 +201,27 @@ def typical_decomposition(
     counts.setflags(write=False)
     weights.setflags(write=False)
     residual = max(0.0, 1.0 - _exact_sum(weights))
-    return TypicalDecomposition(counts, weights, residual, eps, m_copies)
+    return TypicalDecomposition(target, counts, weights, residual, eps, m_copies)
 
 
-def fidelity_mixed_lower_bound(
-    target: MixedTarget,
-    m_copies: int,
-    gamma,
-    *,
-    epsilon: float | None = None,
-    method: str = "gauss",
-    decomposition: TypicalDecomposition | None = None,
-    class_cap: int = DEFAULT_CLASS_CAP,
-):
+def fidelity_mixed_lower_bound(decomposition: TypicalDecomposition, gamma, *, method: str):
     """Lower bound (1 - delta) * min over classes of F_class(gamma), not yet certified.
 
-    The (1 - delta) factor cites joint concavity of the squared fidelity, which
+    The classes, delta, the target and M are ``decomposition``'s.  The
+    (1 - delta) factor cites joint concavity of the squared fidelity, which
     is false, and the gauss floor can exceed the exact fidelity.  ``method``
     picks the per-class fidelity: "gauss" for the model exp(-M sigma_k^2 gamma^2),
     "exact" for prod_j |phi_j(gamma)|^(2 k_j), the class number distribution's
     fidelity: exp of the least sum_j k_j ln|phi_j|^2 (`log_char_sq`) over the two
-    end classes of each slice.  A precomputed ``decomposition`` amortizes
-    enumeration across gamma batches; it must be a `typical_decomposition`
-    result for this target and M (else ValueError).
+    end classes of each slice.
     """
     if method not in ("gauss", "exact"):
         raise ValueError(f"method must be 'gauss' or 'exact', got {method!r}")
-    dec = decomposition or typical_decomposition(
-        target, m_copies, epsilon, class_cap=class_cap
-    )
-    if dec.m_copies != m_copies:
-        raise ValueError(f"decomposition is for M={dec.m_copies}, not M={m_copies}")
-    if dec.counts.shape[1] != target.rank:
-        raise ValueError(f"decomposition is for rank {dec.counts.shape[1]}, not rank {target.rank}")
+    dec, target = decomposition, decomposition.target
     if method == "gauss":
         # exp(-M s^2 gamma^2) decreases as s^2 grows: the widest class is the minimum
         widest = ((dec.counts / dec.m_copies) @ target.component_variances).max()
-        floor = fidelity_pure_gauss(widest, m_copies, gamma)
+        floor = fidelity_pure_gauss(widest, dec.m_copies, gamma)
     else:
         # log F_k is linear in k, and along a slice only the last two counts
         # move, in opposite steps: each slice's least fidelity is at an end
@@ -256,41 +241,24 @@ def fidelity_mixed_lower_bound(
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class MixedBoundResult:
-    """Posterior-averaged bound plus the decomposition that produced it."""
-
-    f_bound: float
-    decomposition: TypicalDecomposition
-
-
 def figure_of_merit_mixed_bound(
-    source: NumberState,
-    n_copies: int,
-    target: MixedTarget,
-    m_copies: int,
+    posterior: PosteriorSpec,
+    decomposition: TypicalDecomposition,
     *,
-    epsilon: float | None = None,
-    method: str = "gauss",
+    method: str,
     grid_points: int | None = None,
-    class_cap: int = DEFAULT_CLASS_CAP,
-) -> MixedBoundResult:
-    """Average the lower bound over the exact N-copy misalignment posterior.
+) -> float:
+    """Average `fidelity_mixed_lower_bound` over the exact N-copy misalignment posterior.
 
     The integrand's bound factor is a min over class fidelities, hence only
     piecewise smooth; the midpoint rule on a dense uniform grid is used
     (default covers the posterior's bandwidth with margin).
     """
-    dec = typical_decomposition(target, m_copies, epsilon, class_cap=class_cap)
-    spec = PosteriorSpec.for_copies(source, n_copies)
-    points = grid_points or max(4097, 2 * spec.ncopy_spectrum.span + 3)
+    points = grid_points or max(4097, 2 * posterior.ncopy_spectrum.span + 3)
     gamma = -math.pi + TWO_PI * (np.arange(points) + 0.5) / points
-    bound = fidelity_mixed_lower_bound(
-        target, m_copies, gamma, method=method, decomposition=dec
-    )
-    density = posterior_density_grid(spec, points, midpoint=True)
-    value = float(density @ bound) * TWO_PI / points
-    return MixedBoundResult(value, dec)
+    bound = fidelity_mixed_lower_bound(decomposition, gamma, method=method)
+    density = posterior_density_grid(posterior, points, midpoint=True)
+    return float(density @ bound) * TWO_PI / points
 
 
 def exact_mixed_fidelity_small(target: MixedTarget, m_copies: int, gamma: float) -> float:

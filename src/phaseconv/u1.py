@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    GaussianModel,
     IntDistribution,
     amp_char_grid,
     log_char_sq,
@@ -81,22 +80,18 @@ class NumberState:
 
 @dataclass(frozen=True)
 class PosteriorSpec:
-    """Inputs of the misalignment posterior for an N-copy source.
+    """The estimation stage's output: the misalignment posterior of an N-copy source.
 
-    ``ncopy_spectrum`` is the exact N-copy number distribution; ``gauss`` is
-    its Gaussian reference (mean N*mu, variance N*sigma^2), or None for an
-    asymmetry-free source.
+    ``ncopy_spectrum`` is the exact N-copy number distribution and
+    ``variance`` its variance N sigma^2, 0 for an asymmetry-free source.
     """
 
     ncopy_spectrum: IntDistribution
-    n_copies: int
-    gauss: GaussianModel | None
+    variance: float
 
     @classmethod
     def for_copies(cls, source: NumberState, n_copies: int) -> "PosteriorSpec":
-        mu, var = moments(source.spectrum)
-        gauss = GaussianModel(n_copies * mu, n_copies * var) if var > 0 else None
-        return cls(power_convolve(source.spectrum, n_copies), n_copies, gauss)
+        return cls(power_convolve(source.spectrum, n_copies), n_copies * source.variance)
 
 
 def posterior_density_grid(spec: PosteriorSpec, grid_points: int, *, midpoint: bool) -> np.ndarray:
@@ -114,9 +109,9 @@ def posterior_density_grid(spec: PosteriorSpec, grid_points: int, *, midpoint: b
 
 def posterior_density_gauss(spec: PosteriorSpec, gamma):
     """Gaussian-model posterior density sqrt(2 V / pi) exp(-2 V gamma^2), V = N sigma^2."""
-    if spec.gauss is None:
+    if not spec.variance > 0:
         raise ZeroVarianceError("asymmetry-free source: Gaussian posterior model undefined")
-    v = spec.gauss.variance
+    v = spec.variance
     gamma = np.asarray(gamma, dtype=np.float64)
     out = math.sqrt(2.0 * v / math.pi) * np.exp(-2.0 * v * gamma * gamma)
     return float(out) if out.ndim == 0 else out
@@ -170,44 +165,20 @@ def _autocorrelation(x: np.ndarray, lags: int) -> np.ndarray:
     return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:lags]
 
 
-def _fom_exact_from(ncopy_src: IntDistribution, ncopy_tgt: IntDistribution) -> float:
-    lags = min(len(ncopy_src), len(ncopy_tgt))
-    a = _autocorrelation(np.sqrt(ncopy_src.probs), lags)
-    b = _autocorrelation(ncopy_tgt.probs, lags)
-    return float(a[0] * b[0] + 2.0 * (a[1:] @ b[1:]))
-
-
-def _ncopy_posterior(
-    source: NumberState, n_copies: int, posterior: PosteriorSpec | None
-) -> PosteriorSpec:
-    if posterior is None:
-        return PosteriorSpec.for_copies(source, n_copies)
-    if posterior.n_copies != n_copies:
-        raise ValueError(f"posterior is for N={posterior.n_copies}, not N={n_copies}")
-    return posterior
-
-
-def figure_of_merit_exact(
-    source: NumberState,
-    n_copies: int,
-    target: NumberState,
-    m_copies: int,
-    *,
-    posterior: PosteriorSpec | None = None,
-) -> float:
-    """Posterior-averaged exact fidelity for converting N source to M target copies.
+def figure_of_merit_exact(posterior: PosteriorSpec, target: NumberState, m_copies: int) -> float:
+    """Posterior-averaged exact fidelity of M target copies prepared from the estimate.
 
     Both factors of the integrand are trigonometric polynomials, so the
     average over gamma collapses to Sum_k A_k B_k with A the autocorrelation
     of the N-copy amplitude sequence and B the autocorrelation of the M-copy
-    probability sequence.  No quadrature is involved.  A caller that holds
-    ``PosteriorSpec.for_copies(source, n_copies)`` may pass it as
-    ``posterior`` to skip rebuilding the N-copy spectrum.
+    probability sequence.  No quadrature is involved.
     """
-    return _fom_exact_from(
-        _ncopy_posterior(source, n_copies, posterior).ncopy_spectrum,
-        power_convolve(target.spectrum, m_copies),
-    )
+    ncopy_src = posterior.ncopy_spectrum
+    ncopy_tgt = power_convolve(target.spectrum, m_copies)
+    lags = min(len(ncopy_src), len(ncopy_tgt))
+    a = _autocorrelation(np.sqrt(ncopy_src.probs), lags)
+    b = _autocorrelation(ncopy_tgt.probs, lags)
+    return float(a[0] * b[0] + 2.0 * (a[1:] @ b[1:]))
 
 
 def figure_of_merit_closed(
@@ -220,24 +191,16 @@ def figure_of_merit_closed(
 
 
 def figure_of_merit_mc(
-    source: NumberState,
-    n_copies: int,
-    target: NumberState,
-    m_copies: int,
-    draws: int,
-    rng_seed,
-    *,
-    posterior: PosteriorSpec | None = None,
+    posterior: PosteriorSpec, target: NumberState, m_copies: int, draws: int, rng_seed
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the figure of merit.
 
     Samples misalignments from the posterior and averages the exact fidelity;
     cross-validates the autocorrelation route.  Deterministic given the seed.
-    ``posterior`` is as in `figure_of_merit_exact`.
     """
     if draws < 100:
         raise ValueError(f"draws must be >= 100, got {draws}")
-    gamma = sample_gamma(_ncopy_posterior(source, n_copies, posterior), rng_seed, size=draws)
+    gamma = sample_gamma(posterior, rng_seed, size=draws)
     values = fidelity_pure_exact(target, m_copies, gamma)
     estimate = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(draws))

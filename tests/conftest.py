@@ -12,7 +12,6 @@ import numpy as np
 
 from phaseconv import (
     CyclicCoeffs,
-    GaussianModel,
     IntDistribution,
     MixedTarget,
     NumberState,
@@ -76,7 +75,8 @@ def l1_distance(a: IntDistribution, b: IntDistribution) -> float:
 
 
 def gaussian_pmf(
-    model: GaussianModel,
+    mean: float,
+    variance: float,
     support: tuple[int, int] | None = None,
     *,
     tail_tol: float = 1e-9,
@@ -86,24 +86,27 @@ def gaussian_pmf(
 
     ``support`` is an inclusive integer range ``(lo, hi)``; when omitted, a
     range covering 8.5 standard deviations is used.  Raises ValueError when
-    the Gaussian mass outside ``[lo - 0.5, hi + 0.5]`` exceeds ``tail_tol``.
+    ``variance`` is not positive, or when the Gaussian mass outside
+    ``[lo - 0.5, hi + 0.5]`` exceeds ``tail_tol``.
     """
-    sigma = math.sqrt(model.variance)
+    if not variance > 0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    sigma = math.sqrt(variance)
     if support is None:
-        lo = math.floor(model.mean - 8.5 * sigma)
-        hi = math.ceil(model.mean + 8.5 * sigma)
+        lo = math.floor(mean - 8.5 * sigma)
+        hi = math.ceil(mean + 8.5 * sigma)
     else:
         lo, hi = int(support[0]), int(support[1])
         if lo > hi:
             raise ValueError(f"empty support ({lo}, {hi})")
     root2 = math.sqrt(2.0)
-    tail = 0.5 * math.erfc((model.mean - (lo - 0.5)) / (sigma * root2))
-    tail += 0.5 * math.erfc(((hi + 0.5) - model.mean) / (sigma * root2))
+    tail = 0.5 * math.erfc((mean - (lo - 0.5)) / (sigma * root2))
+    tail += 0.5 * math.erfc(((hi + 0.5) - mean) / (sigma * root2))
     if tail > tail_tol:
         raise ValueError(f"support ({lo}, {hi}) truncates mass {tail:.3e} > {tail_tol:.1e}")
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    values = np.exp(-((n - model.mean) ** 2) / (2.0 * model.variance))
-    values /= math.sqrt(2.0 * math.pi * model.variance)
+    values = np.exp(-((n - mean) ** 2) / (2.0 * variance))
+    values /= math.sqrt(2.0 * math.pi * variance)
     return IntDistribution.from_raw(lo, values, trim_threshold)
 
 

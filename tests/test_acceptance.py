@@ -63,7 +63,7 @@ def report(cid: str, ok: bool, detail: str) -> bool:
 def test_c1_closed_form_convergence():
     start = time.perf_counter()
     grid = [(400, 20), (1600, 40), (6400, 80)]
-    exact = [figure_of_merit_exact(FAIR, n, FAIR, m) for n, m in grid]
+    exact = [figure_of_merit_exact(PosteriorSpec.for_copies(FAIR, n), FAIR, m) for n, m in grid]
     closed = [figure_of_merit_closed(0.25, n, 0.25, m) for n, m in grid]
     gaps = [abs(e - c) for e, c in zip(exact, closed)]
     elapsed = time.perf_counter() - start
@@ -87,7 +87,7 @@ def test_c2_sublinear_schedule_converges():
     sched = RateSchedule("power", 0.8)
     grid = [10**3, 10**4, 10**5]
     ms = [sched.m_for(n) for n in grid]
-    vals = [figure_of_merit_exact(FAIR, n, FAIR, m) for n, m in zip(grid, ms)]
+    vals = [figure_of_merit_exact(PosteriorSpec.for_copies(FAIR, n), FAIR, m) for n, m in zip(grid, ms)]
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -105,7 +105,7 @@ def test_c2_sublinear_schedule_converges():
 
 def test_c3_linear_schedule_plateaus():
     plateau = 1 / math.sqrt(1.5)
-    vals = [figure_of_merit_exact(FAIR, n, FAIR, n) for n in (2000, 4000, 8000)]
+    vals = [figure_of_merit_exact(PosteriorSpec.for_copies(FAIR, n), FAIR, n) for n in (2000, 4000, 8000)]
     devs = [abs(v - plateau) for v in vals]
     ok = all(dev <= 0.01 for dev in devs)
     assert report(
@@ -213,9 +213,10 @@ def test_c8_mixed_fidelity_oracles():
     for _ in range(25):
         target = random_mixture(rng, max_rank=2)
         for m in (1, 2, 3):
+            dec = typical_decomposition(target, m, 2.0)
             for gamma in (0.1, 0.6, 1.5):
                 exact = exact_mixed_fidelity_small(target, m, gamma)
-                bound = fidelity_mixed_lower_bound(target, m, gamma, epsilon=2.0, method="exact")
+                bound = fidelity_mixed_lower_bound(dec, gamma, method="exact")
                 worst_excess = max(worst_excess, bound - exact)
 
     ok = (
@@ -241,10 +242,11 @@ def test_c9_cross_method_consistency():
         src, tgt = random_state(rng), random_state(rng)
         n = int(rng.integers(64, 513))
         m = int(rng.integers(4, 65))
-        exact = figure_of_merit_exact(src, n, tgt, m)
+        spec = PosteriorSpec.for_copies(src, n)
+        exact = figure_of_merit_exact(spec, tgt, m)
         quad = figure_of_merit_quadrature(src, n, tgt, m)
         est, err = figure_of_merit_mc(
-            src, n, tgt, m, 4000, np.random.default_rng(np.random.SeedSequence([2024, i]))
+            spec, tgt, m, 4000, np.random.default_rng(np.random.SeedSequence([2024, i]))
         )
         if err > 0:
             worst_z = max(worst_z, abs(est - exact) / err)
@@ -308,10 +310,10 @@ def test_c12_rank1_mixed_bound_ties_exact_figure_of_merit():
     for source_name, source in states.items():
         for target_name, target in states.items():
             for n, m in ((100, 16), (1000, 64), (4000, 300)):
-                bound = figure_of_merit_mixed_bound(
-                    source, n, MixedTarget.pure(target), m, method="exact"
-                ).f_bound
-                exact = figure_of_merit_exact(source, n, target, m)
+                spec = PosteriorSpec.for_copies(source, n)
+                dec = typical_decomposition(MixedTarget.pure(target), m)
+                bound = figure_of_merit_mixed_bound(spec, dec, method="exact")
+                exact = figure_of_merit_exact(spec, target, m)
                 rel = abs(bound - exact) / exact
                 if rel >= worst:
                     worst, where = rel, (source_name, target_name, n, m)
@@ -373,7 +375,7 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
     worst, lines = 0.0, []
     for m in (64, 1024, 4096):
         dec = typical_decomposition(target, m)
-        got = fidelity_mixed_lower_bound(target, m, midpoints, method="exact", decomposition=dec)
+        got = fidelity_mixed_lower_bound(dec, midpoints, method="exact")
         ref = _longdouble_floor(target, _slice_ends(dec.counts), midpoints) * (1 - np.longdouble(dec.residual_mass))
         kept = ref > 1e-10
         rel = float((np.abs(got[kept] - ref[kept]) / ref[kept]).max())
@@ -385,7 +387,7 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
     worst_abs, zeros_ok = 0.0, True
     for m, eps in ((1, 1.0), (1, 2.0), (64, None)):
         dec = typical_decomposition(target, m, eps)
-        got = fidelity_mixed_lower_bound(target, m, edges, method="exact", decomposition=dec)
+        got = fidelity_mixed_lower_bound(dec, edges, method="exact")
         ref = _longdouble_floor(target, _slice_ends(dec.counts), edges) * (1 - np.longdouble(dec.residual_mass))
         worst_abs = max(worst_abs, float(np.abs(got - ref).max()))
         vanishing = bool(dec.counts[:, :2].any())  # a class holds a copy of the fair bit or of tri
@@ -406,7 +408,7 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
             bulk = max(bulk, _relative(fidelity_pure_exact(state, m, angles)[kept], ref[kept]))
             bulk_points += int(kept.sum())
         dec = typical_decomposition(pair, m)
-        got = fidelity_mixed_lower_bound(pair, m, angles, method="exact", decomposition=dec)
+        got = fidelity_mixed_lower_bound(dec, angles, method="exact")
         ref = _longdouble_floor(pair, _slice_ends(dec.counts), angles) * (1 - np.longdouble(dec.residual_mass))
         kept = ref > 1e-10
         bulk = max(bulk, _relative(got[kept], ref[kept]))
@@ -417,7 +419,7 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
     near = 0.0
     for m in (1, 2, 3, 4):
         dec = typical_decomposition(target, m, 2.0)  # every class
-        got = fidelity_mixed_lower_bound(target, m, inside, method="exact", decomposition=dec)
+        got = fidelity_mixed_lower_bound(dec, inside, method="exact")
         ref = _longdouble_floor(target, _slice_ends(dec.counts), inside) * (1 - np.longdouble(dec.residual_mass))
         near = max(near, _relative(got, ref))
         for state in target.components:

@@ -34,6 +34,11 @@ MIXED_TARGET = {
 }
 
 
+# the grid keys of a mixed-oracle config whose target is under test
+ORACLE_GRID = {"m_grid": [1], "gamma_grid": [0.1]}
+FAIR_SPECTRUM = {"probs": [0.5, 0.5]}
+
+
 def cfg(experiment, payload):
     return parse_config(json.dumps(payload), experiment)
 
@@ -509,6 +514,69 @@ class TestMain:
     def test_overflowing_sum_is_a_config_error(self, tmp_path, capsys, experiment, payload, problem):
         assert main([experiment, "--config", self.write(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == f"config error: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "experiment, payload, problem",
+        [
+            ("zd", {"probs": [1.0], "n_grid": [2]}, "probs: expected a list of at least 2 probabilities"),
+            ("u1-fom", {**FOM_CONFIG, "source": {"probs": 0.5}},
+             "source.probs: expected a list of at least 1 probabilities"),
+            ("zd", {"probs": [1.5, -0.5], "n_grid": [2]}, "probs: entries must be nonnegative"),
+            ("u1-fom", {**FOM_CONFIG, "source": [0.5, 0.5]},
+             "source: expected an object with 'probs' and optional 'offset'"),
+            ("u1-fom", {**FOM_CONFIG, "source": {"offset": 0}}, "source.probs: missing"),
+            ("u1-fom", {**FOM_CONFIG, "source": {"probs": [0.5, 0.5], "offset": -1}},
+             "source.offset: expected a nonnegative integer"),
+            ("u1-fom", {**FOM_CONFIG, "target": {"probs": [0.5, 0.0, 0.5]}},
+             "target.probs: interior zeros make the spectrum gapped"),
+            ("mixed-oracle", {**ORACLE_GRID, "target": {"components": MIXED_TARGET["components"]}},
+             "target: expected {'components': [...], 'weights': [...]}"),
+            ("mixed-oracle", {**ORACLE_GRID, "target": {"components": [], "weights": []}},
+             "target.components: expected a nonempty list of spectra"),
+            ("mixed-oracle", {**ORACLE_GRID, "target": {**MIXED_TARGET, "weights": ["half", 0.5]}},
+             "target.weights: expected a list of numbers"),
+            ("mixed-oracle", {**ORACLE_GRID, "target": {**MIXED_TARGET, "weights": [1.0]}},
+             "target.weights: length 1 does not match 2 components"),
+            ("mixed-oracle", {**ORACLE_GRID, "target": {**MIXED_TARGET, "weights": [1.0, 0.0]}},
+             "target.weights: weights must be strictly positive"),
+            ("mixed-oracle",
+             {**ORACLE_GRID, "target": {**MIXED_TARGET, "components": [FAIR_SPECTRUM, {"probs": "x"}]}},
+             "target.components[1].probs: expected a list of at least 1 probabilities"),
+            ("zd", {"probs": [0.5, 0.5], "n_grid": [4, 0]}, "n_grid: entries must be integers >= 1"),
+            ("u1-fom", {**FOM_CONFIG, "m_schedule": {"b": 0.5}},
+             "m_schedule: expected exactly one of {'a': ...}, {'c': ...}, {'list': [...]}"),
+            ("u1-fom", {**FOM_CONFIG, "m_schedule": {"c": 0}}, "m_schedule.c: slope must be positive"),
+            ("zd", {"probs": [0.5, 0.5], "d": 1, "n_grid": [2]}, "d: expected an integer >= 2"),
+        ],
+        ids=[
+            "short-list", "probs-not-a-list", "negative-entry", "spectrum-not-an-object",
+            "probs-missing", "negative-offset", "interior-zero", "mixture-shape",
+            "no-components", "weights-not-numbers", "weight-count", "zero-weight",
+            "invalid-component", "grid-entry", "schedule-shape", "zero-slope", "dimension",
+        ],
+    )
+    def test_invalid_field_is_a_config_error(self, tmp_path, capsys, experiment, payload, problem):
+        assert main([experiment, "--config", self.write(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "error: --seed must lie in [0, 2^64)"),
+            (["--seed", str(2**64)], "error: --seed must lie in [0, 2^64)"),
+            (["--jobs", "0"], "error: --jobs must be >= 1"),
+            (["--out", "{missing}/rows.csv"],
+             "error: cannot write output: [Errno 2] No such file or directory: '{missing}/rows.csv'"),
+        ],
+        ids=["seed-negative", "seed-too-large", "no-jobs", "unwritable-out"],
+    )
+    def test_bad_flag_value_is_an_error(self, tmp_path, capsys, flags, message):
+        missing = str(tmp_path / "missing")
+        flags = [flag.format(missing=missing) for flag in flags]
+        assert main(["u1-fom", "--config", self.write(tmp_path, FOM_CONFIG), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message.format(missing=missing) + "\n"
+        assert captured.out == ""
 
     def test_cheap_sweep_starts_no_pool(self, tmp_path, no_pool):
         out = tmp_path / "rows.csv"

@@ -19,10 +19,10 @@ def test_fom_row_builds_the_source_power_once(monkeypatch):
     config = parse_config(json.dumps(payload), "u1-fom")
     expected = []
     for n, m in zip(config.n_grid, config.m_schedule[1]):
-        # each public function on its own builds its own N-copy power
-        f_exact = u1.figure_of_merit_exact(config.source, n, config.target, m)
+        spec = u1.PosteriorSpec.for_copies(config.source, n)
+        f_exact = u1.figure_of_merit_exact(spec, config.target, m)
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, m]))
-        expected.append((f_exact, *u1.figure_of_merit_mc(config.source, n, config.target, m, 200, rng)))
+        expected.append((f_exact, *u1.figure_of_merit_mc(spec, config.target, m, 200, rng)))
 
     powers = []
     power = u1.power_convolve

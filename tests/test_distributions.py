@@ -11,7 +11,6 @@ from conftest import convolve, direct_power, gaussian_pmf, l1_distance, random_s
 from phaseconv import PrecisionLossError
 from phaseconv import distributions
 from phaseconv.distributions import (
-    GaussianModel,
     IntDistribution,
     amp_char_fn,
     char_fn,
@@ -115,16 +114,20 @@ class TestPowerConvolve:
         p = IntDistribution(0, np.array([0.3, 0.7]))
         assert power_convolve(p, 50).probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_mass_budget_warn_and_fail(self):
+    def test_mass_budget_warn_and_fail(self, monkeypatch):
         p = IntDistribution(0, np.array([0.3, 0.7]))
         # a coarse trim drops 0.3^9 = 2.0e-5 of mass, so the drift is nonzero by
         # construction, and zero tolerance turns it into a reportable drift
+        monkeypatch.setattr(distributions, "TRIM_THRESHOLD", 1e-4)
+        monkeypatch.setattr(distributions, "MASS_WARN", 0.0)
+        monkeypatch.setattr(distributions, "MASS_FAIL", 1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            power_convolve(p, 9, trim_threshold=1e-4, mass_warn=0.0, mass_fail=1.0)
+            power_convolve(p, 9)
         assert any("mass" in str(w.message) for w in caught)
+        monkeypatch.setattr(distributions, "MASS_FAIL", 0.0)
         with pytest.raises(PrecisionLossError):
-            power_convolve(p, 9, trim_threshold=1e-4, mass_warn=0.0, mass_fail=0.0)
+            power_convolve(p, 9)
 
     def test_invalid_copy_count(self):
         with pytest.raises(ValueError):
@@ -171,44 +174,46 @@ class TestPowerConvolve:
         assert power_support_bound(FAIR, 10**7) == 26546
         assert power_support_bound(IntDistribution.delta(3), 10**7) == 1
 
-# copy numbers from 2 to about 5*10^5.  The cases below check that a power has the
-# same bits whatever the call order or thread, and that power_convolve leaves the
-# value of the distribution it reads unchanged.
-LADDER_NS = (2, 3, 5, 8, 100, 1023, 1024, 4097, 65_535, 99_999, 123_457, 262_144, 500_001)
-LADDER_CASES = [
+# Copy numbers from 2 to about 5*10^5, for a fair bit and for an offset spectrum
+# trimmed at 1e-12.  The cases below check that a power has the same bits whatever
+# the call order or thread, and that power_convolve leaves the value of the
+# distribution it reads unchanged.
+POWER_NS = (2, 3, 5, 8, 100, 1023, 1024, 4097, 65_535, 99_999, 123_457, 262_144, 500_001)
+POWER_CASES = [
     (FAIR, distributions.TRIM_THRESHOLD),
     (IntDistribution(7, np.array([0.2, 0.5, 0.3])), 1e-12),
 ]
 
 
-def _fresh_power(p, n, trim_threshold):
+def _fresh_power(p, n):
     """The power of an equal distribution that no earlier call has read."""
-    return power_convolve(IntDistribution(p.offset, p.probs.copy()), n, trim_threshold=trim_threshold)
+    return power_convolve(IntDistribution(p.offset, p.probs.copy()), n)
 
 
 @pytest.mark.filterwarnings("ignore:power_convolve mass drift")
-class TestSquaringLadder:
+class TestSameBits:
     @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
-    @pytest.mark.parametrize("case", range(len(LADDER_CASES)), ids=["fair", "offset-trim"])
-    def test_reused_rungs_give_the_bits_of_a_fresh_copy(self, order, case):
-        p, trim = LADDER_CASES[case]
-        ns = list(LADDER_NS)
+    @pytest.mark.parametrize("case", range(len(POWER_CASES)), ids=["fair", "offset-trim"])
+    def test_same_bits_in_any_call_order(self, monkeypatch, order, case):
+        p, trim = POWER_CASES[case]
+        monkeypatch.setattr(distributions, "TRIM_THRESHOLD", trim)
+        ns = list(POWER_NS)
         if order == "decreasing":
             ns.reverse()
         elif order == "shuffled":
             np.random.default_rng(11).shuffle(ns)
         shared = IntDistribution(p.offset, p.probs.copy())
         for n in ns:
-            got = power_convolve(shared, n, trim_threshold=trim)
-            want = _fresh_power(p, n, trim)
+            got = power_convolve(shared, n)
+            want = _fresh_power(p, n)
             assert got.offset == want.offset, n
             assert np.array_equal(got.probs, want.probs), n
 
     def test_threads_sharing_a_distribution_get_the_serial_bits(self):
         p = IntDistribution(1, np.array([0.1, 0.6, 0.3]))
-        # more threads than cores, at copy numbers whose ladders overlap
+        # more threads than cores, all reading one distribution
         ns = (99_999, 500_001, 262_145, 123_457)
-        want = [_fresh_power(p, n, distributions.TRIM_THRESHOLD) for n in ns]
+        want = [_fresh_power(p, n) for n in ns]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -232,14 +237,13 @@ class TestSquaringLadder:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_ladder_not_part_of_the_value(self):
+    def test_input_distribution_unchanged(self):
         p = IntDistribution(3, np.array([0.25, 0.5, 0.25]))
         pickled, text = pickle.dumps(p), repr(p)
         power_convolve(p, 1000)
         assert pickle.dumps(p) == pickled
         assert repr(p) == text
         clone = pickle.loads(pickle.dumps(p))
-        assert "_ladders" not in vars(clone)
         assert np.array_equal(power_convolve(clone, 777).probs, power_convolve(p, 777).probs)
 
 
@@ -253,26 +257,27 @@ class TestMoments:
 
 class TestGaussianPmf:
     def test_standard_normal_mass_at_zero(self):
-        out = gaussian_pmf(GaussianModel(0.0, 1.0), (-8, 8))
+        out = gaussian_pmf(0.0, 1.0, (-8, 8))
         idx = 0 - out.offset
         assert out.probs[idx] == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-6)
 
     def test_moments_recovered(self):
-        out = gaussian_pmf(GaussianModel(50.0, 25.0), (0, 100))
+        out = gaussian_pmf(50.0, 25.0, (0, 100))
         mu, var = moments(out)
         assert mu == pytest.approx(50.0, abs=1e-9)
         assert var == pytest.approx(25.0, rel=1e-3)
 
     def test_narrow_support_rejected(self):
         with pytest.raises(ValueError, match="truncates mass"):
-            gaussian_pmf(GaussianModel(0.0, 100.0), (-5, 5))
+            gaussian_pmf(0.0, 100.0, (-5, 5))
 
     def test_invalid_variance(self):
-        with pytest.raises(ValueError):
-            GaussianModel(0.0, -1.0)
+        for variance in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="variance must be positive"):
+                gaussian_pmf(0.0, variance)
 
     def test_auto_support(self):
-        out = gaussian_pmf(GaussianModel(10.0, 4.0))
+        out = gaussian_pmf(10.0, 4.0)
         mu, var = moments(out)
         assert mu == pytest.approx(10.0, abs=1e-9)
         assert var == pytest.approx(4.0, rel=1e-3)
@@ -287,7 +292,7 @@ class TestL1Distance:
     def test_binomial_vs_gaussian_improves_with_n(self):
         def gap(n):
             b = power_convolve(FAIR, n)
-            g = gaussian_pmf(GaussianModel(n * 0.5, n * 0.25), (b.offset, b.offset + len(b) - 1))
+            g = gaussian_pmf(n * 0.5, n * 0.25, (b.offset, b.offset + len(b) - 1))
             return l1_distance(b, g)
 
         gaps = [gap(n) for n in (64, 256, 1024)]

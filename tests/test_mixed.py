@@ -20,6 +20,7 @@ from phaseconv import (
     IntDistribution,
     MixedTarget,
     NumberState,
+    PosteriorSpec,
     TypicalDecomposition,
     epsilon_schedule,
     exact_mixed_fidelity_small,
@@ -89,6 +90,7 @@ class TestTypicalDecomposition:
 
     def test_fair_mixture_four_copies(self):
         dec = typical_decomposition(HALF_HALF, 4, epsilon=0.5)
+        assert dec.target is HALF_HALF and dec.m_copies == 4
         assert dec.counts.tolist() == [[1, 3], [2, 2], [3, 1]]
         assert dec.residual_mass == pytest.approx(0.125, abs=1e-12)
 
@@ -254,9 +256,9 @@ class TestExactSum:
         assert binned >= 10
 
 
-def one_class(counts, m: int) -> TypicalDecomposition:
-    """A decomposition holding the single class ``counts`` and no residual mass."""
-    return TypicalDecomposition(np.array([counts], dtype=np.int64), np.ones(1), 0.0, 1.0, m)
+def one_class(target: MixedTarget, counts, m: int) -> TypicalDecomposition:
+    """A decomposition of ``target``^(x m) holding the single class ``counts`` and no residual mass."""
+    return TypicalDecomposition(target, np.array([counts], dtype=np.int64), np.ones(1), 0.0, 1.0, m)
 
 
 class TestTypeclassGaussian:
@@ -274,9 +276,7 @@ class TestTypeclassGaussian:
             for k, comp in zip(counts, target.components):
                 part = direct_power(comp.spectrum, int(k))
                 law = part if law is None else convolve(law, part)
-            bound = fidelity_mixed_lower_bound(
-                target, m, 1.0, method="gauss", decomposition=one_class(counts, m)
-            )
+            bound = fidelity_mixed_lower_bound(one_class(target, counts, m), 1.0, method="gauss")
             assert -math.log(bound) == pytest.approx(moments(law)[1], rel=1e-9)
 
 
@@ -301,9 +301,7 @@ class TestClassFidelityExact:
             m = int(rng.integers(2, 40))
             for counts in typical_decomposition(target, m).counts:
                 ch = char_fn(class_number_distribution(target, counts), grid)
-                bound = fidelity_mixed_lower_bound(
-                    target, m, grid, method="exact", decomposition=one_class(counts, m)
-                )
+                bound = fidelity_mixed_lower_bound(one_class(target, counts, m), grid, method="exact")
                 np.testing.assert_allclose(
                     bound, ch.real**2 + ch.imag**2, rtol=0, atol=1e-12
                 )
@@ -330,25 +328,26 @@ class TestMixedLowerBound:
                 ch = char_fn(law, grid)
                 exact.append(ch.real**2 + ch.imag**2)
             for method, fids in (("gauss", gauss), ("exact", exact)):
-                bound = fidelity_mixed_lower_bound(target, m, grid, method=method, decomposition=dec)
+                bound = fidelity_mixed_lower_bound(dec, grid, method=method)
                 np.testing.assert_allclose(
                     bound, (1.0 - dec.residual_mass) * np.min(fids, axis=0), rtol=0, atol=1e-12
                 )
 
     def test_aligned_gives_one_minus_delta(self):
         dec = typical_decomposition(HALF_HALF, 16)
-        bound = fidelity_mixed_lower_bound(HALF_HALF, 16, 0.0)
+        bound = fidelity_mixed_lower_bound(dec, 0.0, method="gauss")
         assert bound == pytest.approx(1.0 - dec.residual_mass, abs=1e-12)
 
     def test_pure_target_matches_gauss_fidelity(self):
         grid = np.linspace(-0.5, 0.5, 9)
-        bound = fidelity_mixed_lower_bound(MixedTarget.pure(FAIR0), 32, grid)
+        dec = typical_decomposition(MixedTarget.pure(FAIR0), 32)
+        bound = fidelity_mixed_lower_bound(dec, grid, method="gauss")
         np.testing.assert_allclose(bound, fidelity_pure_gauss(0.25, 32, grid), atol=1e-12)
 
     def test_worked_example(self):
         # M=4, eps=0.5 keeps 0.875 of the mass; every kept class has
         # sigma^2 = 0.25, so F_min = exp(-4 * 0.25 * 0.01)
-        bound = fidelity_mixed_lower_bound(HALF_HALF, 4, 0.1, epsilon=0.5)
+        bound = fidelity_mixed_lower_bound(typical_decomposition(HALF_HALF, 4, 0.5), 0.1, method="gauss")
         assert bound == pytest.approx(0.875 * math.exp(-4 * 0.25 * 0.01), rel=1e-12)
         assert bound == pytest.approx(0.8662936045305215, abs=1e-12)
 
@@ -357,46 +356,37 @@ class TestMixedLowerBound:
         for _ in range(20):
             target = random_mixture(rng, max_rank=2)
             for m in (1, 2, 3):
+                dec = typical_decomposition(target, m, 2.0)
                 for gamma in (0.1, 0.7, 2.0):
                     exact = exact_mixed_fidelity_small(target, m, gamma)
-                    bound = fidelity_mixed_lower_bound(target, m, gamma, epsilon=2.0, method="exact")
+                    bound = fidelity_mixed_lower_bound(dec, gamma, method="exact")
                     assert bound <= exact + 1e-10
 
     def test_method_validation(self):
         with pytest.raises(ValueError):
-            fidelity_mixed_lower_bound(HALF_HALF, 4, 0.0, method="pade")
-
-    @pytest.mark.parametrize("method", ["gauss", "exact"])
-    def test_refuses_a_decomposition_for_another_m_or_rank(self, method):
-        dec = typical_decomposition(HALF_HALF, 8)
-        with pytest.raises(ValueError, match="^decomposition is for M=8, not M=9$"):
-            fidelity_mixed_lower_bound(HALF_HALF, 9, 0.5, method=method, decomposition=dec)
-        skewed = NumberState(IntDistribution(0, np.array([0.1, 0.9])))
-        wider = MixedTarget((FAIR0, FAIR1, skewed), (0.3, 0.3, 0.4))
-        with pytest.raises(ValueError, match="^decomposition is for rank 2, not rank 3$"):
-            fidelity_mixed_lower_bound(wider, 8, 0.5, method=method, decomposition=dec)
+            fidelity_mixed_lower_bound(typical_decomposition(HALF_HALF, 4), 0.0, method="pade")
 
 
 class TestMixedFigureOfMerit:
     def test_pure_target_tracks_exact(self):
-        res = figure_of_merit_mixed_bound(FAIR0, 1600, MixedTarget.pure(FAIR0), 40)
-        exact = figure_of_merit_exact(FAIR0, 1600, FAIR0, 40)
-        assert res.f_bound == pytest.approx(exact, abs=0.02)
+        spec = PosteriorSpec.for_copies(FAIR0, 1600)
+        dec = typical_decomposition(MixedTarget.pure(FAIR0), 40)
+        bound = figure_of_merit_mixed_bound(spec, dec, method="gauss")
+        assert bound == pytest.approx(figure_of_merit_exact(spec, FAIR0, 40), abs=0.02)
 
     def test_deep_sweep_value(self):
-        res = figure_of_merit_mixed_bound(FAIR0, 6400, HALF_HALF, 64)
-        assert res.f_bound == pytest.approx(0.9974850312146089, rel=1e-9)
-        dec = res.decomposition
+        dec = typical_decomposition(HALF_HALF, 64)
+        bound = figure_of_merit_mixed_bound(PosteriorSpec.for_copies(FAIR0, 6400), dec, method="gauss")
+        assert bound == pytest.approx(0.9974850312146089, rel=1e-9)
         floor = 0.9 * (1 - dec.residual_mass) * figure_of_merit_closed(0.25, 6400, 0.25, 64)
-        assert res.f_bound >= floor
+        assert bound >= floor
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(30)
         for _ in range(5):
-            res = figure_of_merit_mixed_bound(
-                random_state(rng), int(rng.integers(10, 200)), random_mixture(rng), 8
-            )
-            assert -1e-12 <= res.f_bound <= 1 + 1e-9
+            spec = PosteriorSpec.for_copies(random_state(rng), int(rng.integers(10, 200)))
+            dec = typical_decomposition(random_mixture(rng), 8)
+            assert -1e-12 <= figure_of_merit_mixed_bound(spec, dec, method="gauss") <= 1 + 1e-9
 
 
 class TestUhlmannFidelity:

@@ -33,7 +33,7 @@ from phaseconv import (
     sample_gamma,
 )
 from phaseconv.cli import exit_code_for, parse_config, run_sweep
-from phaseconv.distributions import char_fn, power_convolve
+from phaseconv.distributions import char_fn, moments, power_convolve
 from phaseconv.errors import ConfigValidationError
 
 TWO_PI = 2 * math.pi
@@ -155,6 +155,13 @@ class TestPosteriorGauss:
             posterior_density_gauss(spec, grid), posterior_density_gauss(spec, -grid), atol=0
         )
 
+    def test_variance_is_n_times_the_source_variance(self):
+        assert PosteriorSpec.for_copies(FAIR, 100).variance == 25.0
+        assert PosteriorSpec.for_copies(VACUUM, 4).variance == 0.0
+        skewed = NumberState(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+        spec = PosteriorSpec.for_copies(skewed, 300)
+        assert spec.variance == pytest.approx(moments(spec.ncopy_spectrum)[1], rel=1e-9)
+
     def test_zero_variance_rejected(self):
         spec = PosteriorSpec.for_copies(VACUUM, 4)
         with pytest.raises(ZeroVarianceError):
@@ -254,14 +261,16 @@ class TestPureFidelity:
 
 class TestFigureOfMerit:
     def test_asymmetry_free_target_is_perfect(self):
-        assert figure_of_merit_exact(FAIR, 32, VACUUM, 5) == pytest.approx(1.0, abs=1e-12)
+        spec = PosteriorSpec.for_copies(FAIR, 32)
+        assert figure_of_merit_exact(spec, VACUUM, 5) == pytest.approx(1.0, abs=1e-12)
 
     def test_uninformative_source_single_bit_target(self):
         # uniform posterior against fidelity cos^2(gamma/2) averages to 1/2
-        assert figure_of_merit_exact(VACUUM, 10, FAIR, 1) == pytest.approx(0.5, abs=1e-12)
+        spec = PosteriorSpec.for_copies(VACUUM, 10)
+        assert figure_of_merit_exact(spec, FAIR, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_fair_bit_example(self):
-        val = figure_of_merit_exact(FAIR, 800, FAIR, 100)
+        val = figure_of_merit_exact(PosteriorSpec.for_copies(FAIR, 800), FAIR, 100)
         assert val == pytest.approx(0.97014, abs=0.05)
         assert val == pytest.approx(figure_of_merit_closed(0.25, 800, 0.25, 100), abs=1e-4)
 
@@ -287,9 +296,12 @@ class TestFigureOfMerit:
         assert down_m[0] > down_m[1] > down_m[2]
 
     def test_exact_tracks_closed_at_depth(self):
-        up_n = [figure_of_merit_exact(FAIR, n, FAIR, 32) for n in (400, 800, 1600)]
+        up_n = [
+            figure_of_merit_exact(PosteriorSpec.for_copies(FAIR, n), FAIR, 32) for n in (400, 800, 1600)
+        ]
         assert up_n[0] < up_n[1] < up_n[2]
-        down_m = [figure_of_merit_exact(FAIR, 1600, FAIR, m) for m in (16, 32, 64)]
+        deep = PosteriorSpec.for_copies(FAIR, 1600)
+        down_m = [figure_of_merit_exact(deep, FAIR, m) for m in (16, 32, 64)]
         assert down_m[0] > down_m[1] > down_m[2]
         assert up_n[-1] == pytest.approx(figure_of_merit_closed(0.25, 1600, 0.25, 32), abs=1e-5)
 
@@ -298,33 +310,20 @@ class TestFigureOfMerit:
         for _ in range(10):
             src, tgt = random_state(rng), random_state(rng)
             n, m = int(rng.integers(1, 200)), int(rng.integers(1, 40))
-            exact = figure_of_merit_exact(src, n, tgt, m)
+            exact = figure_of_merit_exact(PosteriorSpec.for_copies(src, n), tgt, m)
             quad = figure_of_merit_quadrature(src, n, tgt, m)
             assert quad == pytest.approx(exact, abs=1e-8)
 
     def test_mc_deterministic_and_consistent(self):
-        est1, err1 = figure_of_merit_mc(FAIR, 100, FAIR, 10, 2000, 5)
-        est2, err2 = figure_of_merit_mc(FAIR, 100, FAIR, 10, 2000, 5)
+        spec = PosteriorSpec.for_copies(FAIR, 100)
+        est1, err1 = figure_of_merit_mc(spec, FAIR, 10, 2000, 5)
+        est2, err2 = figure_of_merit_mc(spec, FAIR, 10, 2000, 5)
         assert (est1, err1) == (est2, err2)
-        exact = figure_of_merit_exact(FAIR, 100, FAIR, 10)
+        exact = figure_of_merit_exact(spec, FAIR, 10)
         assert abs(est1 - exact) < 3 * err1
 
-    def test_given_posterior_gives_the_same_bits(self):
-        src = NumberState(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
-        spec = PosteriorSpec.for_copies(src, 300)
-        assert figure_of_merit_exact(src, 300, FAIR, 17, posterior=spec) == figure_of_merit_exact(
-            src, 300, FAIR, 17
-        )
-        assert figure_of_merit_mc(src, 300, FAIR, 17, 500, 3, posterior=spec) == figure_of_merit_mc(
-            src, 300, FAIR, 17, 500, 3
-        )
-        with pytest.raises(ValueError, match="N=300, not N=301"):
-            figure_of_merit_exact(src, 301, FAIR, 17, posterior=spec)
-        with pytest.raises(ValueError, match="N=300, not N=299"):
-            figure_of_merit_mc(src, 299, FAIR, 17, 500, 3, posterior=spec)
-
     def test_mc_asymmetry_free_target(self):
-        est, err = figure_of_merit_mc(FAIR, 50, VACUUM, 4, 500, 0)
+        est, err = figure_of_merit_mc(PosteriorSpec.for_copies(FAIR, 50), VACUUM, 4, 500, 0)
         assert est == 1.0 and err == 0.0
 
 
