@@ -27,14 +27,10 @@ from .distributions import (
     power_support_bound,
 )
 from .errors import (
-    CombinatorialBlowupError,
     ConfigValidationError,
-    GappedSpectrumError,
-    NegativeOffsetError,
     PhaseconvError,
     PrecisionLossError,
     ResourceCapError,
-    ZeroVarianceError,
 )
 from .mixed import (
     MixedTarget,
@@ -49,7 +45,6 @@ from .u1 import (
     NumberState,
     PosteriorSpec,
     RateSchedule,
-    ensure_fft_cap,
     fidelity_pure_exact,
     fidelity_pure_gauss,
     figure_of_merit_closed,

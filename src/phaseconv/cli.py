@@ -8,9 +8,9 @@ Experiments: u1-fom, u1-posterior, u1-rates, zd, mixed-bound, mixed-oracle.
 The config is a JSON object; unknown keys are rejected and validation reports
 every problem at once.  Sweep rows are independent, so failures land in an
 ``error`` column instead of aborting the run, and the row order never depends
-on the parallelism degree.  A sweep runs in at most ``--jobs`` workers once
-its estimated work reaches `POOL_POINTS`, in-process otherwise; the output
-depends on neither.
+on the parallelism degree.  A sweep runs in at most ``--jobs`` workers, one
+per CPU at most, once its estimated work reaches `POOL_POINTS`, in-process
+otherwise; the output depends on neither.
 
 Exit codes: 0 success, 1 usage, validation or I/O error, 2 some rows failed,
 3 some rows hit a resource cap.
@@ -37,12 +37,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import IntDistribution, power_support_bound
-from .errors import (
-    CombinatorialBlowupError,
-    ConfigValidationError,
-    PhaseconvError,
-    ResourceCapError,
-)
+from .errors import ConfigValidationError, PhaseconvError, ResourceCapError
 from .mixed import (
     DEFAULT_CLASS_CAP,
     MixedTarget,
@@ -53,11 +48,9 @@ from .mixed import (
 )
 from .u1 import (
     CONVERGENCE_THRESHOLD,
-    DEFAULT_FFT_CAP,
     NumberState,
     PosteriorSpec,
     RateSchedule,
-    ensure_fft_cap,
     figure_of_merit_closed,
     figure_of_merit_exact,
     figure_of_merit_mc,
@@ -73,6 +66,9 @@ from .zd import (
 
 SCHEMA_VERSION = 1
 DEFAULT_MC_DRAWS = 4096
+# Guard against convolution powers whose trimmed support would not fit a
+# sane FFT; sweeps may lower it, nothing at desk scale should need to raise it.
+DEFAULT_FFT_CAP = 1 << 23
 _METHODS = ("exact", "closed", "mc")
 
 # default of a config key that must be given
@@ -265,11 +261,23 @@ def _n_m_keys(config: SweepConfig) -> list[dict]:
     return [{"N": n, "M": m} for n, m in zip(config.n_grid, config.m_schedule[1])]
 
 
+def _fom_sizes(config: SweepConfig, row: dict) -> tuple[int, int]:
+    """The support bounds of the N-copy source and M-copy target powers."""
+    return (
+        power_support_bound(config.source.spectrum, row["N"]),
+        power_support_bound(config.target.spectrum, row["M"]),
+    )
+
+
 def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = None) -> None:
     methods = methods or config.methods
     n, m = row["N"], row["M"]
     source, target = config.source, config.target
-    ensure_fft_cap(source, n, target, m, config.fft_cap)
+    worst = max(_fom_sizes(config, row))
+    if worst > config.fft_cap:  # refused before any power is built
+        raise ResourceCapError(
+            f"support estimate {worst} exceeds fft_cap {config.fft_cap} at N={n}, M={m}"
+        )
     posterior = None  # one N-copy source spectrum serves both the exact and the mc leg
     if "exact" in methods:
         posterior = PosteriorSpec.for_copies(source, n)
@@ -286,11 +294,8 @@ def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = N
 
 
 def _fom_work(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = None) -> int:
-    """The supports of both convolution powers, plus the Monte Carlo phase-sum terms."""
-    sizes = (
-        power_support_bound(config.source.spectrum, row["N"]),
-        power_support_bound(config.target.spectrum, row["M"]),
-    )
+    """Both powers' support bounds, plus the Monte Carlo leg's `log_char_sq` terms."""
+    sizes = _fom_sizes(config, row)
     if max(sizes) > config.fft_cap:
         return 0  # refused before any work
     work = sum(sizes)
@@ -540,7 +545,7 @@ def _compute_row(config: SweepConfig, row: dict) -> dict:
     try:
         EXPERIMENTS[config.experiment].row(config, row)
         row["error"] = None
-    except (ResourceCapError, CombinatorialBlowupError) as exc:
+    except ResourceCapError as exc:
         row["error"] = str(exc)
         row["_cap"] = True
     # RuntimeError and its subclasses (RecursionError, NotImplementedError) mark a
@@ -577,19 +582,20 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run all rows of a sweep; deterministic given (config, seed), any jobs value.
 
     A sweep of two rows or more whose estimated work reaches `POOL_POINTS`
-    runs in a pool of at most ``jobs`` workers; every other sweep runs
-    in-process.  The decision reads the config alone, never the clock.
+    runs in a pool of min(``jobs``, rows, CPU count) workers; every other sweep
+    runs in-process.  The decision reads the config alone, never the clock.
     """
     start = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
     keys = experiment.row_keys(config)
+    workers = min(jobs, len(keys), os.cpu_count() or 1)
     works = [_row_work(experiment, config, key) for key in keys] if jobs > 1 else []
     if len(works) > 1 and sum(works) >= POOL_POINTS:
         # a task takes as many rows as fit in a quarter of a worker's share if each
         # is the costliest: like rows share tasks, a geometric grid's do not
-        chunk = max(1, sum(works) // (4 * jobs * max(1, *works)))
+        chunk = max(1, sum(works) // (4 * workers * max(1, *works)))
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(keys)), initializer=_adopt_config, initargs=(config,)
+            max_workers=workers, initializer=_adopt_config, initargs=(config,)
         ) as pool:
             rows = list(pool.map(_compute_adopted_row, keys, chunksize=chunk))
     else:
@@ -675,7 +681,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="maximum worker processes (default: CPU count); a sweep "
+                        help="maximum worker processes, at most the CPU count "
+                        "(default: CPU count); a sweep "
                         "starts them only if its estimated work reaches "
                         "cli.POOL_POINTS, and its output is the same either way")
     return parser

@@ -9,24 +9,8 @@ class PrecisionLossError(PhaseconvError):
     """FFT round-off pushed total probability mass outside the accepted budget."""
 
 
-class GappedSpectrumError(PhaseconvError, ValueError):
-    """Number spectrum has an interior zero, so it is not gapless."""
-
-
-class NegativeOffsetError(PhaseconvError, ValueError):
-    """Number spectrum extends below zero."""
-
-
-class ZeroVarianceError(PhaseconvError, ValueError):
-    """Operation needs a strictly positive spectral variance."""
-
-
-class CombinatorialBlowupError(PhaseconvError):
-    """Type-class enumeration would exceed the configured class cap."""
-
-
 class ResourceCapError(PhaseconvError):
-    """A size estimate (FFT length, embedding dimension, ...) exceeds its cap."""
+    """A size estimate exceeds its cap: a convolution power's support or a type-class count."""
 
 
 class ConfigValidationError(PhaseconvError, ValueError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import log_char_sq
-from .errors import CombinatorialBlowupError
+from .errors import ResourceCapError
 from .u1 import (
     TWO_PI,
     NumberState,
@@ -178,7 +178,7 @@ def typical_decomposition(
         sizes = np.where(np.abs(rest - scaled[j]) <= slack, np.maximum(hi - lo + 1, 0), 0)
         rows = int(sizes.sum())
         if rows > class_cap:
-            raise CombinatorialBlowupError(
+            raise ResourceCapError(
                 f"about {rows} type classes at M={m_copies}, rank {r}; cap is {class_cap}"
             )
         if not rows:

@@ -26,20 +26,9 @@ from .distributions import (
     log_char_sq,
     moments,
     power_convolve,
-    power_support_bound,
-)
-from .errors import (
-    GappedSpectrumError,
-    NegativeOffsetError,
-    ResourceCapError,
-    ZeroVarianceError,
 )
 
 TWO_PI = 2.0 * math.pi
-
-# Guard against convolution powers whose trimmed support would not fit a
-# sane FFT; sweeps may lower it, nothing at desk scale should need to raise it.
-DEFAULT_FFT_CAP = 1 << 23
 
 # A rate schedule "converges" when the exact figure of merit increases along
 # the grid and ends above this (artifact choice, configurable per call).
@@ -58,11 +47,11 @@ class NumberState:
 
     def __post_init__(self):
         if self.spectrum.offset < 0:
-            raise NegativeOffsetError(
+            raise ValueError(
                 f"number spectrum must start at n >= 0, got offset {self.spectrum.offset}"
             )
         if np.any(self.spectrum.probs == 0):
-            raise GappedSpectrumError("number spectrum has interior zeros")
+            raise ValueError("number spectrum has interior zeros")
 
     @property
     def mean(self) -> float:
@@ -110,7 +99,7 @@ def posterior_density_grid(spec: PosteriorSpec, grid_points: int, *, midpoint: b
 def posterior_density_gauss(spec: PosteriorSpec, gamma):
     """Gaussian-model posterior density sqrt(2 V / pi) exp(-2 V gamma^2), V = N sigma^2."""
     if not spec.variance > 0:
-        raise ZeroVarianceError("asymmetry-free source: Gaussian posterior model undefined")
+        raise ValueError("asymmetry-free source: Gaussian posterior model undefined")
     v = spec.variance
     gamma = np.asarray(gamma, dtype=np.float64)
     out = math.sqrt(2.0 * v / math.pi) * np.exp(-2.0 * v * gamma * gamma)
@@ -186,7 +175,7 @@ def figure_of_merit_closed(
 ) -> float:
     """Closed-form large-N/large-M figure of merit 1/sqrt(1 + M s_psi^2 / (2 N s_phi^2))."""
     if sigma_phi_sq <= 0:
-        raise ZeroVarianceError(f"source variance must be positive, got {sigma_phi_sq}")
+        raise ValueError(f"source variance must be positive, got {sigma_phi_sq}")
     return 1.0 / math.sqrt(1.0 + (m_copies * sigma_psi_sq) / (2.0 * n_copies * sigma_phi_sq))
 
 
@@ -260,16 +249,3 @@ def rate_verdict(f_exact, threshold: float = CONVERGENCE_THRESHOLD) -> str:
     increasing = all(b > a for a, b in zip(f_exact, f_exact[1:]))
     return "converges" if increasing and f_exact[-1] > threshold else "plateaus"
 
-
-def ensure_fft_cap(
-    source: NumberState, n_copies: int, target: NumberState, m_copies: int, cap: int
-) -> None:
-    """Refuse convolution powers whose trimmed support could exceed ``cap`` points."""
-    worst = max(
-        power_support_bound(source.spectrum, n_copies),
-        power_support_bound(target.spectrum, m_copies),
-    )
-    if worst > cap:
-        raise ResourceCapError(
-            f"support estimate {worst} exceeds fft_cap {cap} at N={n_copies}, M={m_copies}"
-        )

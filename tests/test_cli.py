@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -165,6 +166,10 @@ class TestHeaders:
         for exp in ("u1-fom", "u1-posterior", "u1-rates", "zd", "mixed-bound", "mixed-oracle"):
             assert result_header(exp)[-1] == "error"
 
+    def test_unknown_experiment(self):
+        with pytest.raises(ValueError, match="^unknown experiment 'u1-nope'$"):
+            result_header("u1-nope")
+
 
 class TestRunSweep:
     @pytest.mark.parametrize("margin, pooled", [(0, [16, 32, 64]), (1, [])], ids=["reaches", "short"])
@@ -196,6 +201,35 @@ class TestRunSweep:
                                           "grid_points": 256})
             assert exit_code_for(run_sweep(config, jobs=2).rows) == 0
         assert chunks[0] > 1 and chunks[1] == 1
+
+    @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (64, 3)])
+    def test_pool_workers_at_most_the_cpu_count(self, monkeypatch, cpus, workers):
+        # a stand-in pool that records its size and runs the rows in this process
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, rows, chunksize):
+                return map(fn, rows)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli, "_worker_config", None)
+        monkeypatch.setattr(cli, "POOL_POINTS", 0)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = cfg("u1-posterior", {"source": FOM_CONFIG["source"], "n_grid": [16, 32, 64],
+                                      "grid_points": 256})
+        result = run_sweep(config, jobs=10**6)
+        assert started == [workers]
+        assert result.rows == run_sweep(config, jobs=1).rows
 
     @pytest.mark.parametrize(
         "experiment, payload",
@@ -252,6 +286,11 @@ class TestRunSweep:
         tvs = [row["tv_exact_gauss"] for row in result.rows]
         assert tvs[0] > tvs[1] > 0
         assert result.metadata["tv_ratios"][0] == pytest.approx(tvs[0] / tvs[1])
+
+    def test_one_posterior_row_has_no_ratios(self):
+        result = run_sweep(cfg("u1-posterior", {"source": {"probs": [0.5, 0.5]}, "n_grid": [64]}))
+        assert result.rows[0]["error"] is None
+        assert "tv_ratios" not in result.metadata
 
     def test_rates_metadata_verdict(self):
         payload = {
@@ -479,6 +518,47 @@ class TestMain:
     ):
         assert main([experiment, "--config", self.write(tmp_path, payload)]) == 1
         assert capsys.readouterr().err == f"config error: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "experiment, payload, code, message",
+        [
+            ("u1-fom", {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 100}, 3,
+             "support estimate 119 exceeds fft_cap 100 at N=200, M=15"),
+            ("u1-rates", {**FOM_CONFIG, "n_grid": [400, 1600], "fft_cap": 256}, 3,
+             "support estimate 336 exceeds fft_cap 256 at N=1600, M=40"),
+            ("mixed-bound", {"source": FAIR_SPECTRUM, "target": MIXED_TARGET, "n_grid": [64],
+                             "m_schedule": {"list": [8]}, "class_cap": 1}, 3,
+             "about 5 type classes at M=8, rank 2; cap is 1"),
+            ("mixed-oracle", {"target": MIXED_TARGET, "m_grid": [2_000_000], "gamma_grid": [0.001]},
+             3, "about 2000001 type classes at M=2000000, rank 2; cap is 1000000"),
+            ("u1-fom", {**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}, "n_grid": [50]}, 2,
+             "source variance must be positive, got 0.0"),
+            ("u1-posterior", {"source": {"probs": [1.0]}, "n_grid": [16]}, 2,
+             "asymmetry-free source: Gaussian posterior model undefined"),
+        ],
+        ids=["u1-fom-fft-cap", "u1-rates-fft-cap", "mixed-bound-class-cap",
+             "mixed-oracle-class-cap", "u1-fom-zero-variance", "u1-posterior-asymmetry-free"],
+    )
+    def test_capped_and_failed_rows_exit_codes(
+        self, tmp_path, capsys, experiment, payload, code, message
+    ):
+        out = tmp_path / "rows.csv"
+        args = [experiment, "--config", self.write(tmp_path, payload), "--out", str(out)]
+        assert main(args) == code
+        assert capsys.readouterr().err == f"row error: {message}\n"
+
+    def test_zd_slope_fit_error_in_metadata(self, tmp_path):
+        # uniform probabilities reach the success probability 1 at once: no wrong mass to fit
+        out = tmp_path / "rows.json"
+        payload = {"probs": [0.25, 0.25, 0.25, 0.25], "n_grid": [2, 4]}
+        args = ["zd", "--config", self.write(tmp_path, payload), "--out", str(out),
+                "--format", "json"]
+        assert main(args) == 0
+        doc = json.loads(out.read_text())
+        assert [row["error"] for row in doc["rows"]] == [None, None]
+        assert doc["metadata"]["slope_fit"] == {
+            "error": "wrong-outcome mass vanished on the grid; nothing to fit"
+        }
 
     def test_partial_failure_exit_codes(self, tmp_path, capsys):
         degenerate = {**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}}

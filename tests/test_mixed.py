@@ -16,11 +16,11 @@ from conftest import (
     uhlmann_fidelity,
 )
 from phaseconv import (
-    CombinatorialBlowupError,
     IntDistribution,
     MixedTarget,
     NumberState,
     PosteriorSpec,
+    ResourceCapError,
     TypicalDecomposition,
     epsilon_schedule,
     exact_mixed_fidelity_small,
@@ -144,7 +144,7 @@ class TestTypicalDecomposition:
         target = random_mixture(rng, max_rank=3)
         while target.rank < 3:
             target = random_mixture(rng, max_rank=3)
-        with pytest.raises(CombinatorialBlowupError):
+        with pytest.raises(ResourceCapError):
             typical_decomposition(target, 4000, epsilon=2.0, class_cap=100)
 
     @pytest.mark.parametrize("rank", [2, 3])
@@ -157,7 +157,7 @@ class TestTypicalDecomposition:
         exact = len(typical_classes_brute(target, m, eps)[0])
         assert typical_decomposition(target, m, eps, class_cap=exact).n_classes == exact
         message = f"about {exact} type classes at M={m}, rank {rank}; cap is {exact - 1}"
-        with pytest.raises(CombinatorialBlowupError, match=f"^{message}$"):
+        with pytest.raises(ResourceCapError, match=f"^{message}$"):
             typical_decomposition(target, m, eps, class_cap=exact - 1)
 
     def test_rank3_at_m4096_within_the_default_cap(self):

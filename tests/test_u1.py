@@ -12,15 +12,10 @@ from conftest import (
     wrap_angle,
 )
 from phaseconv import (
-    GappedSpectrumError,
     IntDistribution,
-    NegativeOffsetError,
     NumberState,
     PosteriorSpec,
     RateSchedule,
-    ResourceCapError,
-    ZeroVarianceError,
-    ensure_fft_cap,
     fidelity_pure_exact,
     fidelity_pure_gauss,
     figure_of_merit_closed,
@@ -52,11 +47,12 @@ class TestStandardize:
         assert VACUUM.variance == 0.0
 
     def test_gap_rejected(self):
-        with pytest.raises(GappedSpectrumError):
+        with pytest.raises(ValueError, match="^number spectrum has interior zeros$"):
             NumberState(IntDistribution(0, np.array([0.5, 0.0, 0.5])))
 
     def test_negative_offset_rejected(self):
-        with pytest.raises(NegativeOffsetError):
+        message = "^number spectrum must start at n >= 0, got offset -1$"
+        with pytest.raises(ValueError, match=message):
             NumberState(IntDistribution(-1, np.array([0.5, 0.5])))
 
 
@@ -164,7 +160,9 @@ class TestPosteriorGauss:
 
     def test_zero_variance_rejected(self):
         spec = PosteriorSpec.for_copies(VACUUM, 4)
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(
+            ValueError, match="^asymmetry-free source: Gaussian posterior model undefined$"
+        ):
             posterior_density_gauss(spec, 0.0)
 
     def test_tv_distance_shrinks(self):
@@ -286,7 +284,7 @@ class TestFigureOfMerit:
         assert figure_of_merit_closed(0.25, 10, 0.0, 10) == 1.0
 
     def test_closed_form_zero_source_variance(self):
-        with pytest.raises(ZeroVarianceError):
+        with pytest.raises(ValueError, match=r"^source variance must be positive, got 0\.0$"):
             figure_of_merit_closed(0.0, 10, 0.25, 10)
 
     def test_closed_form_monotonicity(self):
@@ -386,8 +384,6 @@ class TestRateAnalysis:
         assert capped["error"] == "support estimate 336 exceeds fft_cap 256 at N=1600, M=40"
         assert exit_code_for(result.rows) == 3
         assert result.metadata["verdict"] == "indeterminate"
-        with pytest.raises(ResourceCapError):
-            ensure_fft_cap(FAIR, 10**7, FAIR, 1, 2**14)
 
     def test_verdict_rule(self):
         assert rate_verdict([0.5, 0.9, 0.96]) == "converges"
