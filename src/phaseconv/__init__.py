@@ -61,7 +61,6 @@ from .zd import (
     CyclicState,
     canonical_coeffs,
     contraction_rate,
-    deviation_distribution,
     measure_eta_basis,
     outcome_distribution,
     phase_shifted,

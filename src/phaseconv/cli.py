@@ -581,16 +581,16 @@ def _row_work(experiment: Experiment, config: SweepConfig, key: dict) -> int:
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run all rows of a sweep; deterministic given (config, seed), any jobs value.
 
-    A sweep of two rows or more whose estimated work reaches `POOL_POINTS`
-    runs in a pool of min(``jobs``, rows, CPU count) workers; every other sweep
-    runs in-process.  The decision reads the config alone, never the clock.
+    A sweep whose estimated work reaches `POOL_POINTS` runs in a pool of
+    min(``jobs``, rows, CPU count) workers if that is two or more; every other
+    sweep runs in-process.  The decision reads the config alone, never the clock.
     """
     start = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
     keys = experiment.row_keys(config)
     workers = min(jobs, len(keys), os.cpu_count() or 1)
-    works = [_row_work(experiment, config, key) for key in keys] if jobs > 1 else []
-    if len(works) > 1 and sum(works) >= POOL_POINTS:
+    works = [_row_work(experiment, config, key) for key in keys] if workers > 1 else []
+    if works and sum(works) >= POOL_POINTS:
         # a task takes as many rows as fit in a quarter of a worker's share if each
         # is the costliest: like rows share tasks, a geometric grid's do not
         chunk = max(1, sum(works) // (4 * workers * max(1, *works)))

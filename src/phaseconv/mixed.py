@@ -32,7 +32,6 @@ from .u1 import (
     TWO_PI,
     NumberState,
     PosteriorSpec,
-    fidelity_pure_exact,
     fidelity_pure_gauss,
     posterior_density_grid,
 )
@@ -272,15 +271,13 @@ def exact_mixed_fidelity_small(target: MixedTarget, m_copies: int, gamma: float)
 
         F = (sum_k t_k |phi_k(gamma)|)^(2M),
 
-    with |phi_k|^2 the single-copy `fidelity_pure_exact`.  No matrix is built;
-    the tests check this identity against the Uhlmann fidelity of the dense
-    embedding.
+    with every component's ln|phi_k|^2 from one `log_char_sq` call.  No matrix
+    is built; the tests check this identity against the Uhlmann fidelity of the
+    dense embedding.
     """
     if m_copies < 1:
         raise ValueError(f"m_copies must be >= 1, got {m_copies}")
-    root = math.fsum(
-        w * math.sqrt(fidelity_pure_exact(c, 1, gamma))
-        for c, w in zip(target.components, target.weights)
-    )
+    roots = np.sqrt(np.exp(log_char_sq([c.spectrum for c in target.components], gamma)))
+    root = math.fsum(w * r for w, r in zip(target.weights, roots.tolist()))
     # the weights may sum to 1 +- 1e-12
     return min(root, 1.0) ** (2 * m_copies)

@@ -112,14 +112,27 @@ def measure_eta_basis(state: CyclicState) -> np.ndarray:
     return (amps.real**2 + amps.imag**2) / state.d
 
 
-def deviation_distribution(coeffs: CyclicCoeffs) -> np.ndarray:
-    """Outcome probabilities indexed by the deviation r = (true - guess) mod d.
+def _deviation_laws(source: CyclicCoeffs, n_grid) -> np.ndarray:
+    """Pr(deviation r = (true - guess) mod d) of the N-copy protocol, one row per N.
 
-    Covariance makes the protocol's outcome law depend on the true shift and
-    the guess only through their difference; entry 0 is the success
-    probability.  Symmetric under r -> d - r.
+    With e the inverse DFT of phi^N with its DC mode zeroed (e = c - 1/d) and
+    g = sqrt(c) - 1/sqrt(d) = e / (sqrt(1/d + e) + 1/sqrt(d)), entry r != 0 is
+    |DFT(g)_r|^2 / d and entry 0, the success probability, is
+    (1 + sum(g) / sqrt(d))^2.  No entry subtracts from 1, so the wrong
+    outcomes keep their digits long after c is uniform to round-off.
     """
-    return measure_eta_basis(representative_state(coeffs))
+    for n in n_grid:
+        if n < 1:
+            raise ValueError(f"n_copies must be >= 1, got {n}")
+    # float exponents: an N beyond int64 would make an object array
+    powered = np.fft.fft(source.probs) ** np.array([float(n) for n in n_grid])[:, None]
+    powered[:, 0] = 0.0
+    d, e = source.d, np.fft.ifft(powered).real
+    g = e / (np.sqrt(np.maximum(1.0 / d + e, 0.0)) + 1.0 / math.sqrt(d))
+    amps = np.fft.fft(g)
+    laws = (amps.real**2 + amps.imag**2) / d
+    laws[:, 0] = (1.0 + g.sum(axis=1) / math.sqrt(d)) ** 2
+    return laws
 
 
 def outcome_distribution(source: CyclicCoeffs, n_copies: int, m_true: int = 0) -> np.ndarray:
@@ -127,16 +140,16 @@ def outcome_distribution(source: CyclicCoeffs, n_copies: int, m_true: int = 0) -
 
     Equals (1/d) |sum_j omega^((m_true - m1) j) sqrt(c_j)|^2 with c the
     canonical N-copy coefficients; the 1/d prefactor is fixed by completeness
-    of the eta-basis measurement.
+    of the eta-basis measurement.  Covariance makes it depend on m_true and
+    m1 only through the deviation, symmetric under r -> d - r.
     """
-    dev = deviation_distribution(canonical_coeffs(source, n_copies))
-    return dev[(m_true - np.arange(source.d)) % source.d]
+    law = _deviation_laws(source, [n_copies])[0]
+    return law[(m_true - np.arange(source.d)) % source.d]
 
 
 def success_probability(source: CyclicCoeffs, n_copies: int) -> float:
     """Pr(m|m) for the N-copy protocol: (sum_n sqrt(c_n))^2 / d, independent of m."""
-    c = canonical_coeffs(source, n_copies)
-    return float(np.sqrt(c.probs).sum() ** 2 / c.d)
+    return float(_deviation_laws(source, [n_copies])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -152,26 +165,15 @@ class SlopeFit:
 def success_slope_fit(source: CyclicCoeffs, n_grid) -> SlopeFit:
     """Fit the geometric convergence rate of the failure probability.
 
-    The wrong-guess mass is summed over nonzero deviations of e = c - 1/d,
-    the inverse DFT of the power with its DC mode zeroed, as sqrt(c) -
-    1/sqrt(d) = e / (sqrt(1/d + e) + 1/sqrt(d)), so it keeps its digits long
-    after c is uniform to round-off.  The intercept is the measured prefactor
-    the asymptotic bound leaves unstated.
+    The wrong-guess mass is the sum of the nonzero deviations of
+    `_deviation_laws`, which keeps its digits below round-off.  The intercept
+    is the measured prefactor the asymptotic bound leaves unstated.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("need at least two N values to fit a slope")
-    d, spectrum = source.d, np.fft.fft(source.probs)
-    wrong = []
-    for n in n_grid:
-        if n < 1:
-            raise ValueError(f"n_copies must be >= 1, got {n}")
-        powered = spectrum**n
-        powered[0] = 0.0
-        e = np.fft.ifft(powered).real
-        amps = np.fft.fft(e / (np.sqrt(np.clip(1.0 / d + e, 0.0, None)) + 1.0 / math.sqrt(d)))
-        wrong.append(float((amps.real[1:] ** 2 + amps.imag[1:] ** 2).sum() / d))
-    if min(wrong) <= 0.0:
+    wrong = _deviation_laws(source, n_grid)[:, 1:].sum(axis=1)
+    if wrong.min() <= 0.0:
         raise ValueError("wrong-outcome mass vanished on the grid; nothing to fit")
     slope, intercept = np.polyfit(np.array(n_grid, dtype=np.float64), np.log(wrong), 1)
     eps = contraction_rate(source)

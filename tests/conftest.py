@@ -1,14 +1,16 @@
-"""Shared helpers: random instances and slow independent oracles.
+"""Shared helpers: random instances, slow independent oracles and a CPU-count fixture.
 
 The library computes each quantity on one fast path; the oracles here compute
 the same quantities the slow, direct way and exist only to check those paths.
 """
 import itertools
 import math
+import os
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
+import pytest
 
 from phaseconv import (
     CyclicCoeffs,
@@ -20,6 +22,12 @@ from phaseconv import (
 )
 from phaseconv.distributions import TRIM_THRESHOLD, amp_char_fn, power_convolve
 from phaseconv.u1 import TWO_PI
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`os.cpu_count` reads 2, so a sweep run with ``--jobs`` 2 or more can pool on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
 
 def random_spectrum(rng, max_len: int = 6, max_offset: int = 3) -> IntDistribution:

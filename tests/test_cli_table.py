@@ -40,7 +40,7 @@ class TestEveryExperiment:
         assert emit(serial) == emit(parallel)
         assert json.loads(emit(serial, "json"))["rows"] == json.loads(emit(parallel, "json"))["rows"]
 
-    def test_pooled_rows_match_serial(self, experiment, monkeypatch):
+    def test_pooled_rows_match_serial(self, experiment, monkeypatch, two_cpus):
         starts = []
 
         class CountingPool(cli.ProcessPoolExecutor):

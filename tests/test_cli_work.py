@@ -41,7 +41,7 @@ def test_fom_row_builds_the_source_power_once(monkeypatch):
         ("zd", {"probs": [0.7, 0.2, 0.1], "n_grid": list(range(1, 41))}),
     ],
 )
-def test_pooled_tasks_carry_row_keys_only(monkeypatch, experiment, payload):
+def test_pooled_tasks_carry_row_keys_only(monkeypatch, two_cpus, experiment, payload):
     tasks = []
 
     class RecordingPool(cli.ProcessPoolExecutor):

@@ -13,7 +13,6 @@ from phaseconv.zd import (
     CyclicState,
     canonical_coeffs,
     contraction_rate,
-    deviation_distribution,
     measure_eta_basis,
     outcome_distribution,
     phase_shifted,
@@ -155,10 +154,12 @@ class TestMeasurement:
 
     def test_deviation_symmetric(self):
         p = CyclicCoeffs(np.array([0.4, 0.3, 0.2, 0.1]))
-        dev = deviation_distribution(canonical_coeffs(p, 3))
+        dev = measure_eta_basis(representative_state(canonical_coeffs(p, 3)))
         assert dev.sum() == pytest.approx(1.0, abs=1e-12)
         # guessing m+r and m-r are equally likely
         np.testing.assert_allclose(dev[1:], dev[1:][::-1], atol=1e-12)
+        out = outcome_distribution(p, 3)
+        np.testing.assert_allclose(out[1:], out[1:][::-1], atol=1e-12)
 
 
 class TestOutcomeDistribution:
@@ -180,6 +181,34 @@ class TestOutcomeDistribution:
         p = CyclicCoeffs(np.array([1.0, 0.0, 0.0]))
         out = outcome_distribution(p, 4, m_true=0)
         np.testing.assert_allclose(out, 1 / 3, atol=1e-12)
+
+    def test_matches_the_state_model(self):
+        # the eta-basis measurement of the canonical state built from the
+        # brute-force coefficients, read at deviation r = (m_true - guess) mod d
+        rng = np.random.default_rng(4242)
+        for d in range(2, 7):
+            for n in range(1, 13):
+                p = random_coeffs(rng, d)
+                dev = measure_eta_basis(representative_state(brute_force_coeffs(p, n)))
+                for m in range(d):
+                    want = dev[(m - np.arange(d)) % d]
+                    assert np.abs(outcome_distribution(p, n, m) - want).max() <= 1e-12, (d, n, m)
+                assert abs(success_probability(p, n) - dev[0]) <= 1e-12, (d, n)
+
+    @pytest.mark.parametrize("probs", [[0.9, 0.1], [0.7, 0.2, 0.1]])
+    def test_wrong_mass_below_round_off(self, probs):
+        # at these N the wrong mass (down to about 1e-52) is far below what
+        # 1 - Pr(success) or the coefficients themselves resolve
+        source = CyclicCoeffs(np.array(probs))
+        for n in (25, 100, 150):
+            want = float(wrong_mass_oracle(probs, n))
+            got = outcome_distribution(source, n)[1:].sum()
+            assert abs(got - want) <= 1e-11 * want, (n, got, want)
+
+    @pytest.mark.parametrize("law", [outcome_distribution, success_probability])
+    def test_copy_count_validation(self, law):
+        with pytest.raises(ValueError, match="^n_copies must be >= 1, got 0$"):
+            law(BIASED, 0)
 
 
 class TestSuccessProbability:
@@ -280,6 +309,23 @@ def wrong_mass_oracle(probs, n: int) -> Decimal:
         ctx.prec = 60 + n
         roots = sum((Decimal(c.numerator) / Decimal(c.denominator)).sqrt() for c in power)
         return 1 - roots * roots / (d * Decimal(total.numerator) / Decimal(total.denominator))
+
+
+def test_cli_rows_at_copy_numbers_beyond_int64(tmp_path, capsys):
+    # N = 10^20 is a float exponent; 10^400 fails its row, not the sweep
+    config = tmp_path / "zd.json"
+    config.write_text(json.dumps({"probs": [0.7, 0.2, 0.1], "n_grid": [2, 10**20]}))
+    assert main(["zd", "--config", str(config), "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "d,N,success_prob,epsilon,error\n"
+        "3,2,0.952925342056,0.556776436283,\n"
+        "3,100000000000000000000,1,0.556776436283,\n"
+    )
+    config.write_text(json.dumps({"probs": [0.7, 0.2, 0.1], "n_grid": [10**400]}))
+    assert main(["zd", "--config", str(config), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == f"3,{10**400},,,int too large to convert to float"
+    assert captured.err == "row error: int too large to convert to float\n"
 
 
 def test_cli_refuses_a_sum_off_by_more_than_1e12(tmp_path, capsys):

@@ -1,0 +1,111 @@
+"""Check that the working tree writes the same sweep outputs as another revision.
+
+    python3 tools/same_outputs.py --parent REV [--seeds 1 7 1801]
+
+REV is checked out with ``git worktree add --detach`` into a temporary
+directory, which is removed afterwards whatever happens.  For each tree a
+child process runs every sweep of the benchmark plans
+(``perfbench/workloads.py``'s ``build``) for each workload and seed through
+``phaseconv.cli.main``, in ``--format csv`` and ``json`` and at ``--jobs 1``
+and ``2``.  Both trees run the working tree's plans.  The outputs are
+compared byte for byte, JSON without the value of ``metadata.wall_time_s``,
+and so are the exit codes and stderr.  Exits 1 and names the files on any
+difference, 0 otherwise.
+
+Each child runs ``same_outputs.py --write SRC OUT SEED...``, which writes the
+outputs of the package under SRC into the directory OUT.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]*')
+
+
+def write_outputs(src: Path, out: Path, seeds: list[int]) -> None:
+    """Run every planned sweep against the package under ``src``; one file per output.
+
+    Beside each output file NAME (``.csv`` or ``.json``), ``NAME.exit`` holds
+    the exit code and ``NAME.stderr`` what `main` wrote to stderr.
+    """
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import workloads
+    from phaseconv import cli
+
+    out.mkdir(parents=True, exist_ok=True)
+    for workload in workloads.WORKLOADS:
+        for seed in seeds:
+            for sweep in workloads.build(workload, seed):
+                stem = f"{workload}-{seed}-{sweep['name']}"
+                config = out / f"{stem}.config"
+                config.write_text(json.dumps(sweep["config"]))
+                for fmt in ("csv", "json"):
+                    for jobs in ("1", "2"):
+                        name = f"{stem}-jobs{jobs}.{fmt}"
+                        argv = [sweep["experiment"], "--config", str(config),
+                                "--out", str(out / name), "--format", fmt, "--jobs", jobs]
+                        err = io.StringIO()
+                        with contextlib.redirect_stderr(err):
+                            code = cli.main(argv)
+                        (out / f"{name}.exit").write_text(f"{code}\n")
+                        (out / f"{name}.stderr").write_text(err.getvalue())
+
+
+def _comparable(path: Path) -> bytes:
+    data = path.read_bytes()
+    return _WALL_TIME.sub(rb"\1null", data) if path.suffix == ".json" else data
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    """Names of the files that differ between two output directories, or exist in one only."""
+    names = {p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}
+    return sorted(
+        name for name in names
+        if not ((a / name).exists() and (b / name).exists())
+        or _comparable(a / name) != _comparable(b / name)
+    )
+
+
+def _outputs_of(src: Path, out: Path, seeds: list[int]) -> None:
+    args = [sys.executable, __file__, "--write", str(src), str(out), *map(str, seeds)]
+    subprocess.run(args, check=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7, 1801])
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "parent"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree),
+                        args.parent], check=True, capture_output=True)
+        try:
+            _outputs_of(tree / "src", Path(tmp) / "before", args.seeds)
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+        _outputs_of(ROOT / "src", Path(tmp) / "after", args.seeds)
+        diffs = differing_files(Path(tmp) / "before", Path(tmp) / "after")
+        total = sum(1 for p in (Path(tmp) / "after").iterdir() if p.suffix in (".csv", ".json"))
+    for name in diffs:
+        print(f"differs: {name}")
+    print(f"{total} outputs, {len(diffs)} differing files against {args.parent}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--write"]:
+        write_outputs(Path(sys.argv[2]), Path(sys.argv[3]), [int(s) for s in sys.argv[4:]])
+        sys.exit(0)
+    sys.exit(main())
