@@ -28,7 +28,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, partial
 from types import SimpleNamespace
@@ -84,10 +83,27 @@ _NULL_IS_DEFAULT = {"grid_points", "epsilon"}
 # points 143-150 / 132-195, 250-286 / 155-209 and 548-688 / 357-433; u1-rates
 # at 0.6e6 points 107-117 / 96-120; u1-fom Monte Carlo at 1.6e6 points
 # 213-243 / 258-309.  Those sweeps ran at 119-195 ns a point, so the budget is
-# 0.24-0.39 s of rows; the benchmark's largest sweep is 0.9e6.  An exact
-# mixed-bound sweep counts its posterior grids only: rank 2 at M = 256-2048
-# took 8 / 16-18 ms, rank 3 at M = 1024-4096 (1.3e4 points) 0.09-0.10 / 0.13 s.
+# 0.24-0.39 s of rows.  No benchmark sweep pools: the largest, cli-small's
+# `rates-*`, is 152,919 at seeds 1, 7 and 1801.  An exact mixed-bound sweep
+# counts its posterior grids only: rank 2 at M = 256-2048 took 8 / 16-18 ms,
+# rank 3 at M = 1024-4096 (1.3e4 points) 0.09-0.10 / 0.13 s.
 POOL_POINTS = 2_000_000
+
+
+def __getattr__(name: str):
+    """Bind `ProcessPoolExecutor` on first access.
+
+    The pool stack (`concurrent.futures`, `multiprocessing`, `logging`,
+    `socket`) takes about 17 ms to import, so it loads when a sweep first
+    starts a pool, not with this module.  Once bound, the name is a plain
+    module global that callers may read, subclass or patch.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SweepConfig(SimpleNamespace):
@@ -594,7 +610,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         # a task takes as many rows as fit in a quarter of a worker's share if each
         # is the costliest: like rows share tasks, a geometric grid's do not
         chunk = max(1, sum(works) // (4 * workers * max(1, *works)))
-        with ProcessPoolExecutor(
+        # through the module, so that the first pool start binds the name
+        with sys.modules[__name__].ProcessPoolExecutor(
             max_workers=workers, initializer=_adopt_config, initargs=(config,)
         ) as pool:
             rows = list(pool.map(_compute_adopted_row, keys, chunksize=chunk))
@@ -718,9 +735,10 @@ def main(argv=None) -> int:
         return 1
 
     result = run_sweep(config, jobs=jobs)
-    result.metadata["config_sha256"] = hashlib.sha256(
-        json.dumps(json.loads(text), sort_keys=True).encode()
-    ).hexdigest()
+    if args.format == "json":  # only JSON output carries metadata
+        result.metadata["config_sha256"] = hashlib.sha256(
+            json.dumps(json.loads(text), sort_keys=True).encode()
+        ).hexdigest()
     code = exit_code_for(result.rows)
     try:
         text_out = emit(result, args.format)
