@@ -8,9 +8,11 @@ Experiments: u1-fom, u1-posterior, u1-rates, zd, mixed-bound, mixed-oracle.
 The config is a JSON object; unknown keys are rejected and validation reports
 every problem at once.  Sweep rows are independent, so failures land in an
 ``error`` column instead of aborting the run, and the row order never depends
-on the parallelism degree.  A sweep runs in at most ``--jobs`` workers, one
-per CPU at most, once its estimated work reaches `POOL_POINTS`, in-process
-otherwise; the output depends on neither.
+on the parallelism degree.  A row one of whose `Experiment.sizes` exceeds
+the cap is refused before it runs, and their sum is its estimated work.  A
+sweep runs in at most ``--jobs`` workers, one per CPU at most, once its
+estimated work reaches `POOL_POINTS`, in-process otherwise; the output
+depends on neither.
 
 Exit codes: 0 success, 1 usage, validation or I/O error, 2 some rows failed,
 3 some rows hit a resource cap.
@@ -65,18 +67,15 @@ from .zd import (
 
 SCHEMA_VERSION = 1
 DEFAULT_MC_DRAWS = 4096
-# Guard against convolution powers whose trimmed support would not fit a
-# sane FFT; sweeps may lower it, nothing at desk scale should need to raise it.
+# Guard against rows whose arrays (`Experiment.sizes`) would not fit a sane FFT;
+# u1-fom and u1-rates may lower it, nothing at desk scale should need to raise it.
 DEFAULT_FFT_CAP = 1 << 23
 _METHODS = ("exact", "closed", "mc")
 
 # default of a config key that must be given
 _REQUIRED = object()
 
-# optional keys for which a JSON null reads as absent, so that the default applies
-_NULL_IS_DEFAULT = {"grid_points", "epsilon"}
-
-# Estimated work (`Experiment.work`, summed over a sweep's rows) from which the
+# Estimated work (`Experiment.sizes`, summed over a sweep's rows) from which the
 # rows go to a worker pool.  Measured on a 2-CPU VM (Python 3.11.7, NumPy
 # 2.4.6, OpenBLAS), in-process against a fork pool of two workers (7-18 ms to
 # start), in ms over two rounds: u1-posterior grids of 1.1e6, 2.1e6 and 4.2e6
@@ -263,25 +262,27 @@ def _take_m_schedule(problems: list, f: str, value, values: dict):
     return schedule.label, m_values
 
 
-def _take_dimension(problems: list, f: str, value, values: dict):
-    """The optional zd dimension, cross-checked against len(probs)."""
-    if not _is_int(value) or value < 2:
-        return _fail(problems, f"{f}: expected an integer >= 2")
-    probs = values.get("probs")
-    if probs is not None and value != probs.d:
-        return _fail(problems, f"{f}: {value} does not match len(probs) = {probs.d}")
-    return value
-
-
 def _n_m_keys(config: SweepConfig) -> list[dict]:
     return [{"N": n, "M": m} for n, m in zip(config.n_grid, config.m_schedule[1])]
 
 
-def _fom_sizes(config: SweepConfig, row: dict) -> tuple[int, int]:
-    """The support bounds of the N-copy source and M-copy target powers."""
+def _fom_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], ...]:
+    """Source and target power support bounds, plus the Monte Carlo leg's `log_char_sq` terms."""
+    sizes = (
+        ("support estimate", power_support_bound(config.source.spectrum, row["N"])),
+        ("support estimate", power_support_bound(config.target.spectrum, row["M"])),
+    )
+    if "mc" in getattr(config, "methods", ()):
+        sizes += (("Monte Carlo term count", config.mc_draws * len(config.target.spectrum)),)
+    return sizes
+
+
+def _posterior_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], ...]:
+    """The N-copy source support bound and the posterior grid (mixed-bound's default if None)."""
+    support = power_support_bound(config.source.spectrum, row["N"])
     return (
-        power_support_bound(config.source.spectrum, row["N"]),
-        power_support_bound(config.target.spectrum, row["M"]),
+        ("support estimate", support),
+        ("posterior grid", config.grid_points or max(4097, 2 * support + 3)),
     )
 
 
@@ -289,11 +290,6 @@ def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = N
     methods = methods or config.methods
     n, m = row["N"], row["M"]
     source, target = config.source, config.target
-    worst = max(_fom_sizes(config, row))
-    if worst > config.fft_cap:  # refused before any power is built
-        raise ResourceCapError(
-            f"support estimate {worst} exceeds fft_cap {config.fft_cap} at N={n}, M={m}"
-        )
     posterior = None  # one N-copy source spectrum serves both the exact and the mc leg
     if "exact" in methods:
         posterior = PosteriorSpec.for_copies(source, n)
@@ -307,23 +303,6 @@ def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = N
         posterior = posterior or PosteriorSpec.for_copies(source, n)
         est, err = figure_of_merit_mc(posterior, target, m, config.mc_draws, rng)
         row["f_mc"], row["f_mc_stderr"] = est, err
-
-
-def _fom_work(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = None) -> int:
-    """Both powers' support bounds, plus the Monte Carlo leg's `log_char_sq` terms."""
-    sizes = _fom_sizes(config, row)
-    if max(sizes) > config.fft_cap:
-        return 0  # refused before any work
-    work = sum(sizes)
-    if "mc" in (methods or config.methods):
-        work += config.mc_draws * len(config.target.spectrum)
-    return work
-
-
-def _posterior_work(config: SweepConfig, row: dict) -> int:
-    """The N-copy source support bound plus the posterior grid (mixed-bound's default if None)."""
-    support = power_support_bound(config.source.spectrum, row["N"])
-    return support + (config.grid_points or max(4097, 2 * support + 3))
 
 
 def _posterior_row(config: SweepConfig, row: dict) -> None:
@@ -405,8 +384,10 @@ class Experiment:
     key columns and ``row`` fills in the rest of a row in place, calling the
     library through this module's globals so that it can be traced or
     patched here.  ``metadata`` summarizes the rows for the JSON output.
-    ``work`` estimates a row's work in points, the unit of `POOL_POINTS`,
-    from its inputs alone; rows that a worker pool does not pay for count 0.
+    ``sizes`` gives (what, length) for each array a row will allocate, from
+    its inputs alone: `_preflight` refuses a row with one above the cap, and
+    their sum is its work in points, the unit of `POOL_POINTS`.  Rows without
+    sizes count no work: a worker pool does not pay for them.
     """
 
     keys: tuple[tuple[str, Callable, object], ...]
@@ -414,7 +395,7 @@ class Experiment:
     row_keys: Callable[[SweepConfig], list[dict]]
     row: Callable[[SweepConfig, dict], None]
     metadata: Callable[[SweepConfig, list[dict]], dict] = lambda config, rows: {}
-    work: Callable[[SweepConfig, dict], int] = lambda config, row: 0
+    sizes: Callable[[SweepConfig, dict], tuple[tuple[str, int], ...]] = lambda config, row: ()
 
 
 _POSITIVE_INT = _check(lambda v: _is_int(v) and v >= 1, "a positive integer")
@@ -445,13 +426,13 @@ EXPERIMENTS = {
              DEFAULT_MC_DRAWS),
             _FFT_CAP,
         ),
-        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row, work=_fom_work,
+        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row, sizes=_fom_sizes,
     ),
     "u1-posterior": Experiment(
         keys=(_SOURCE, _N_GRID, ("grid_points", _GRID_POINTS, 8192)),
         header=("N", "tv_exact_gauss"),
         row_keys=lambda config: [{"N": n} for n in config.n_grid],
-        row=_posterior_row, metadata=_posterior_metadata, work=_posterior_work,
+        row=_posterior_row, metadata=_posterior_metadata, sizes=_posterior_sizes,
     ),
     "u1-rates": Experiment(
         keys=(
@@ -462,18 +443,14 @@ EXPERIMENTS = {
         ),
         header=_FOM_HEADER, row_keys=_n_m_keys,
         row=partial(_fom_row, methods=("exact", "closed")), metadata=_rates_metadata,
-        work=partial(_fom_work, methods=("exact", "closed")),
+        sizes=_fom_sizes,
     ),
     "zd": Experiment(
-        keys=(
-            ("probs", _take_cyclic, _REQUIRED),
-            ("d", _take_dimension, None),
-            _N_GRID,
-        ),
+        keys=(("probs", _take_cyclic, _REQUIRED), _N_GRID),
         header=("d", "N", "success_prob", "epsilon"),
         row_keys=lambda config: [{"d": config.probs.d, "N": n} for n in config.n_grid],
         row=_zd_row, metadata=_zd_metadata,
-        # work stays 0: a row takes about 0.1 ms, less than a pool spends passing
+        # no sizes, so no work: a row takes about 0.1 ms, less than a pool spends passing
         # it to a worker; 600 rows took 80 ms in-process and 540 ms in a pool
     ),
     "mixed-bound": Experiment(
@@ -484,7 +461,7 @@ EXPERIMENTS = {
             ("class_cap", _POSITIVE_INT, DEFAULT_CLASS_CAP),
         ),
         header=("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
-        row_keys=_n_m_keys, row=_bound_row, work=_posterior_work,
+        row_keys=_n_m_keys, row=_bound_row, sizes=_posterior_sizes,
         metadata=lambda config, rows: {"bound_method": config.bound_method},
     ),
     "mixed-oracle": Experiment(
@@ -507,7 +484,7 @@ EXPERIMENTS = {
         metadata=lambda config, rows: {
             "bound_method": config.bound_method, "epsilon": config.epsilon
         },
-        # work stays 0: a rank-2 row takes 0.15 ms at M = 3 and 4.3 ms at M = 4096,
+        # no sizes, so no work: a rank-2 row takes 0.15 ms at M = 3 and 4.3 ms at M = 4096,
         # against 9-22 ms to start a pool of two on a 2-CPU VM; a 60-row grid at
         # M = 1024-4096 took 163 ms in-process and 108 ms in a pool of two
     ),
@@ -532,7 +509,7 @@ def parse_config(text: str, experiment: str) -> SweepConfig:
     ]
     values: dict = {}
     for name, check, default in keys:
-        if raw.get(name) is not None or (name in raw and name not in _NULL_IS_DEFAULT):
+        if name in raw:
             values[name] = check(problems, name, raw[name], values)
         elif default is _REQUIRED:
             problems.append(f"{name}: missing")
@@ -553,12 +530,30 @@ def result_header(experiment: str, methods: tuple[str, ...] = ()) -> tuple[str, 
     return cols + ("error",)
 
 
+def _preflight(config: SweepConfig, row: dict) -> int:
+    """A row's estimated work, the sum of its experiment's `sizes`.
+
+    Raises `ResourceCapError` if the largest size exceeds the cap: the
+    config's ``fft_cap``, or `DEFAULT_FFT_CAP` for an experiment without one.
+    """
+    sizes = EXPERIMENTS[config.experiment].sizes(config, row)
+    what, worst = max(sizes, key=lambda size: size[1], default=("", 0))
+    cap = getattr(config, "fft_cap", DEFAULT_FFT_CAP)
+    if worst > cap:
+        name = "fft_cap" if hasattr(config, "fft_cap") else "size cap"
+        at = ", ".join(f"{key}={value}" for key, value in row.items())
+        raise ResourceCapError(f"{what} {worst} exceeds {name} {cap} at {at}")
+    return sum(size for _, size in sizes)
+
+
 def _compute_row(config: SweepConfig, row: dict) -> dict:
     """Fill in one sweep row; failures are captured, never raised.
 
-    A failed row keeps its key columns and the values computed before the failure.
+    A failed row keeps its key columns and the values computed before the
+    failure; a row refused by `_preflight` has allocated nothing.
     """
     try:
+        _preflight(config, row)
         EXPERIMENTS[config.experiment].row(config, row)
         row["error"] = None
     except ResourceCapError as exc:
@@ -587,11 +582,11 @@ def _compute_adopted_row(row: dict) -> dict:
     return _compute_row(_worker_config, row)
 
 
-def _row_work(experiment: Experiment, config: SweepConfig, key: dict) -> int:
+def _row_work(config: SweepConfig, key: dict) -> int:
     try:
-        return experiment.work(config, key)
-    except OverflowError:
-        return 0  # an N or M beyond float range: the row fails at once
+        return _preflight(config, key)
+    except (ResourceCapError, OverflowError):
+        return 0  # refused, or an N or M beyond float range: the row fails at once
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -605,7 +600,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     experiment = EXPERIMENTS[config.experiment]
     keys = experiment.row_keys(config)
     workers = min(jobs, len(keys), os.cpu_count() or 1)
-    works = [_row_work(experiment, config, key) for key in keys] if workers > 1 else []
+    works = [_row_work(config, key) for key in keys] if workers > 1 else []
     if works and sum(works) >= POOL_POINTS:
         # a task takes as many rows as fit in a quarter of a worker's share if each
         # is the costliest: like rows share tasks, a geometric grid's do not

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from phaseconv import ConfigValidationError, cli
+from phaseconv import ConfigValidationError, cli, u1
 from phaseconv.cli import (
     SweepResult,
     emit,
@@ -132,13 +132,6 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError):
             cfg("u1-fom", {**FOM_CONFIG, "seed": 2**64})
 
-    def test_zd_dimension_cross_check(self):
-        config = cfg("zd", {"probs": [0.9, 0.1], "d": 2, "n_grid": [2, 4]})
-        assert config.probs.probs.tolist() == [0.9, 0.1]
-        with pytest.raises(ConfigValidationError) as info:
-            cfg("zd", {"probs": [0.9, 0.1], "d": 3, "n_grid": [2, 4]})
-        assert any("does not match len(probs)" in p for p in info.value.problems)
-
     def test_mixed_weights_validated(self):
         bad = dict(MIXED_TARGET, weights=[0.5, 0.6])
         payload = {"target": bad, "m_grid": [1, 2], "gamma_grid": [0.1]}
@@ -176,10 +169,13 @@ class TestRunSweep:
     def test_pool_once_estimated_work_reaches_budget(
         self, monkeypatch, two_cpus, pooled_n, margin, pooled
     ):
-        # a u1-posterior row's work is its grid plus the support bound of its N-copy power
+        # a u1-posterior row's sizes are the support bound of its N-copy power and its grid
         config = cfg("u1-posterior", {"source": FOM_CONFIG["source"], "n_grid": [16, 32, 64],
                                       "grid_points": 256})
-        work = sum(256 + power_support_bound(config.source.spectrum, n) for n in (16, 32, 64))
+        sizes = [cli.EXPERIMENTS["u1-posterior"].sizes(config, {"N": n}) for n in (16, 32, 64)]
+        assert sizes == [(("support estimate", power_support_bound(config.source.spectrum, n)),
+                          ("posterior grid", 256)) for n in (16, 32, 64)]
+        work = sum(size for row in sizes for _, size in row)
         monkeypatch.setattr(cli, "POOL_POINTS", work + margin)
         result = run_sweep(config, jobs=2)
         assert [row["N"] for row in result.rows] == [16, 32, 64]
@@ -251,8 +247,11 @@ class TestRunSweep:
     def test_rows_refused_or_beyond_float_range_count_no_work(self, monkeypatch, two_cpus, no_pool):
         fom = cli.EXPERIMENTS["u1-fom"]
         capped = cfg("u1-fom", {**FOM_CONFIG, "fft_cap": 100})
-        assert fom.work(capped, {"N": 100, "M": 10}) > 0
-        assert fom.work(capped, {"N": 200, "M": 15}) == 0
+        fits, refused = {"N": 100, "M": 10}, {"N": 200, "M": 15}
+        assert max(size for _, size in fom.sizes(capped, fits)) <= 100
+        assert cli._row_work(capped, fits) == sum(size for _, size in fom.sizes(capped, fits)) > 0
+        assert max(size for _, size in fom.sizes(capped, refused)) > 100
+        assert cli._row_work(capped, refused) == 0
         monkeypatch.setattr(cli, "POOL_POINTS", 1)
         huge = {**FOM_CONFIG, "n_grid": [10**400, 10**401], "m_schedule": {"list": [5, 6]}}
         result = run_sweep(cfg("u1-fom", huge), jobs=2)
@@ -552,6 +551,35 @@ class TestMain:
         assert main(args) == code
         assert capsys.readouterr().err == f"row error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "experiment, payload, message",
+        [
+            ("u1-posterior", {"source": FAIR_SPECTRUM, "n_grid": [10**14]},
+             "support estimate 83942747 exceeds size cap 8388608 at N=100000000000000"),
+            ("u1-posterior", {"source": FAIR_SPECTRUM, "n_grid": [16], "grid_points": 2**23 + 1},
+             "posterior grid 8388609 exceeds size cap 8388608 at N=16"),
+            ("mixed-bound", {"source": FAIR_SPECTRUM, "target": MIXED_TARGET, "n_grid": [10**14],
+                             "m_schedule": {"list": [8]}},
+             # its default grid, 2 * 83942747 + 3 points, is its largest array
+             "posterior grid 167885497 exceeds size cap 8388608 at N=100000000000000, M=8"),
+            ("u1-fom", {**FOM_CONFIG, "n_grid": [16], "m_schedule": {"list": [4]},
+                        "methods": ["mc"], "mc_draws": 1000, "fft_cap": 1000},
+             "Monte Carlo term count 2000 exceeds fft_cap 1000 at N=16, M=4"),
+        ],
+        ids=["u1-posterior-n", "u1-posterior-grid", "mixed-bound-n", "u1-fom-mc-draws"],
+    )
+    def test_oversized_row_is_refused_by_its_estimate(
+        self, tmp_path, capsys, monkeypatch, experiment, payload, message
+    ):
+        def allocate(*args, **kwargs):
+            raise AssertionError("a refused row reached the library")
+
+        for module, name in ((u1, "power_convolve"), (u1, "amp_char_grid"),
+                             (u1, "sample_gamma"), (cli, "typical_decomposition")):
+            monkeypatch.setattr(module, name, allocate)
+        assert main([experiment, "--config", self.write(tmp_path, payload), "--jobs", "1"]) == 3
+        assert capsys.readouterr().err == f"row error: {message}\n"
+
     def test_zd_slope_fit_error_in_metadata(self, tmp_path):
         # uniform probabilities reach the success probability 1 at once: no wrong mass to fit
         out = tmp_path / "rows.json"
@@ -631,13 +659,12 @@ class TestMain:
             ("u1-fom", {**FOM_CONFIG, "m_schedule": {"b": 0.5}},
              "m_schedule: expected exactly one of {'a': ...}, {'c': ...}, {'list': [...]}"),
             ("u1-fom", {**FOM_CONFIG, "m_schedule": {"c": 0}}, "m_schedule.c: slope must be positive"),
-            ("zd", {"probs": [0.5, 0.5], "d": 1, "n_grid": [2]}, "d: expected an integer >= 2"),
         ],
         ids=[
             "short-list", "probs-not-a-list", "negative-entry", "spectrum-not-an-object",
             "probs-missing", "negative-offset", "interior-zero", "mixture-shape",
             "no-components", "weights-not-numbers", "weight-count", "zero-weight",
-            "invalid-component", "grid-entry", "schedule-shape", "zero-slope", "dimension",
+            "invalid-component", "grid-entry", "schedule-shape", "zero-slope",
         ],
     )
     def test_invalid_field_is_a_config_error(self, tmp_path, capsys, experiment, payload, problem):
