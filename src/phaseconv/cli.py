@@ -2,7 +2,7 @@
 
 Usage:
     phaseconv <experiment> --config <path> [--out <path>] [--format csv|json]
-                                           [--seed <u64>] [--jobs <n>]
+                                           [--jobs <n>]
 
 Experiments: u1-fom, u1-posterior, u1-rates, zd, mixed-bound, mixed-oracle.
 The config is a JSON object; unknown keys are rejected and validation reports
@@ -52,11 +52,13 @@ from .u1 import (
     NumberState,
     PosteriorSpec,
     RateSchedule,
+    autocorrelation_size,
     figure_of_merit_closed,
     figure_of_merit_exact,
     figure_of_merit_mc,
     posterior_gauss_distance,
     rate_verdict,
+    sampling_points,
 )
 from .zd import (
     CyclicCoeffs,
@@ -71,6 +73,7 @@ DEFAULT_MC_DRAWS = 4096
 # u1-fom and u1-rates may lower it, nothing at desk scale should need to raise it.
 DEFAULT_FFT_CAP = 1 << 23
 _METHODS = ("exact", "closed", "mc")
+_RATES_METHODS = ("exact", "closed")  # the legs of a u1-rates row, which has no `methods` key
 
 # default of a config key that must be given
 _REQUIRED = object()
@@ -83,7 +86,7 @@ _REQUIRED = object()
 # at 0.6e6 points 107-117 / 96-120; u1-fom Monte Carlo at 1.6e6 points
 # 213-243 / 258-309.  Those sweeps ran at 119-195 ns a point, so the budget is
 # 0.24-0.39 s of rows.  No benchmark sweep pools: the largest, cli-small's
-# `rates-*`, is 152,919 at seeds 1, 7 and 1801.  An exact mixed-bound sweep
+# `rates-*`, is 365,911 at seeds 1, 7 and 1801.  An exact mixed-bound sweep
 # counts its posterior grids only: rank 2 at M = 256-2048 took 8 / 16-18 ms,
 # rank 3 at M = 1024-4096 (1.3e4 points) 0.09-0.10 / 0.13 s.
 POOL_POINTS = 2_000_000
@@ -267,13 +270,17 @@ def _n_m_keys(config: SweepConfig) -> list[dict]:
 
 
 def _fom_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], ...]:
-    """Source and target power support bounds, plus the Monte Carlo leg's `log_char_sq` terms."""
-    sizes = (
-        ("support estimate", power_support_bound(config.source.spectrum, row["N"])),
-        ("support estimate", power_support_bound(config.target.spectrum, row["M"])),
-    )
-    if "mc" in getattr(config, "methods", ()):
-        sizes += (("Monte Carlo term count", config.mc_draws * len(config.target.spectrum)),)
+    """Source and target power support bounds, and the transforms and terms of each leg run."""
+    source = power_support_bound(config.source.spectrum, row["N"])
+    target = power_support_bound(config.target.spectrum, row["M"])
+    sizes = (("support estimate", source), ("support estimate", target))
+    methods = getattr(config, "methods", _RATES_METHODS)
+    if "exact" in methods:  # the larger transform: the longer power's, over the shorter's lags
+        longer, lags = max(source, target), min(source, target)
+        sizes += (("autocorrelation transform", autocorrelation_size(longer, lags)),)
+    if "mc" in methods:
+        sizes += (("Monte Carlo sampling grid", sampling_points(source)),
+                  ("Monte Carlo term count", config.mc_draws * len(config.target.spectrum)))
     return sizes
 
 
@@ -286,8 +293,8 @@ def _posterior_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], .
     )
 
 
-def _fom_row(config: SweepConfig, row: dict, methods: tuple[str, ...] | None = None) -> None:
-    methods = methods or config.methods
+def _fom_row(config: SweepConfig, row: dict) -> None:
+    methods = getattr(config, "methods", _RATES_METHODS)
     n, m = row["N"], row["M"]
     source, target = config.source, config.target
     posterior = None  # one N-copy source spectrum serves both the exact and the mc leg
@@ -441,8 +448,7 @@ EXPERIMENTS = {
              CONVERGENCE_THRESHOLD),
             _FFT_CAP,
         ),
-        header=_FOM_HEADER, row_keys=_n_m_keys,
-        row=partial(_fom_row, methods=("exact", "closed")), metadata=_rates_metadata,
+        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row, metadata=_rates_metadata,
         sizes=_fom_sizes,
     ),
     "zd": Experiment(
@@ -569,19 +575,6 @@ def _compute_row(config: SweepConfig, row: dict) -> dict:
     return row
 
 
-# the sweep config of a pool's worker process, set once by `_adopt_config`
-_worker_config: SweepConfig | None = None
-
-
-def _adopt_config(config: SweepConfig) -> None:
-    global _worker_config
-    _worker_config = config
-
-
-def _compute_adopted_row(row: dict) -> dict:
-    return _compute_row(_worker_config, row)
-
-
 def _row_work(config: SweepConfig, key: dict) -> int:
     try:
         return _preflight(config, key)
@@ -590,7 +583,7 @@ def _row_work(config: SweepConfig, key: dict) -> int:
 
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run all rows of a sweep; deterministic given (config, seed), any jobs value.
+    """Run all rows of a sweep; deterministic given the config, any jobs value.
 
     A sweep whose estimated work reaches `POOL_POINTS` runs in a pool of
     min(``jobs``, rows, CPU count) workers if that is two or more; every other
@@ -606,10 +599,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
         # is the costliest: like rows share tasks, a geometric grid's do not
         chunk = max(1, sum(works) // (4 * workers * max(1, *works)))
         # through the module, so that the first pool start binds the name
-        with sys.modules[__name__].ProcessPoolExecutor(
-            max_workers=workers, initializer=_adopt_config, initargs=(config,)
-        ) as pool:
-            rows = list(pool.map(_compute_adopted_row, keys, chunksize=chunk))
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial(_compute_row, config), keys, chunksize=chunk))
     else:
         rows = [_compute_row(config, key) for key in keys]
     header = result_header(config.experiment, getattr(config, "methods", ()))
@@ -691,11 +682,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON sweep config")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="maximum worker processes, at most the CPU count "
-                        "(default: CPU count); a sweep "
-                        "starts them only if its estimated work reaches "
+                        help="maximum worker processes, at most the CPU count (default: CPU "
+                        "count); a sweep starts them only if its estimated work reaches "
                         "cli.POOL_POINTS, and its output is the same either way")
     return parser
 
@@ -719,11 +708,6 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        if not (0 <= args.seed < 2**64):
-            print("error: --seed must lie in [0, 2^64)", file=sys.stderr)
-            return 1
-        config.seed = args.seed
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)

@@ -106,6 +106,11 @@ def posterior_density_gauss(spec: PosteriorSpec, gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def sampling_points(support: int) -> int:
+    """Points of `sample_gamma`'s CDF grid for an N-copy spectrum of ``support`` points."""
+    return max(4096, 4 * support)
+
+
 def sample_gamma(spec: PosteriorSpec, rng_seed, size: int | None = None):
     """Draw misalignment angles from the exact posterior; deterministic per seed.
 
@@ -115,7 +120,7 @@ def sample_gamma(spec: PosteriorSpec, rng_seed, size: int | None = None):
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     count = 1 if size is None else int(size)
-    points = max(4096, 4 * len(spec.ncopy_spectrum))
+    points = sampling_points(len(spec.ncopy_spectrum))
     edges = np.linspace(-math.pi, math.pi, points + 1)
     # the density is 2 pi-periodic: the edge at +pi repeats the one at -pi
     density = posterior_density_grid(spec, points, midpoint=False)
@@ -147,9 +152,14 @@ def fidelity_pure_gauss(sigma_sq: float, m_copies: int, gamma):
     return float(out) if out.ndim == 0 else out
 
 
+def autocorrelation_size(length: int, lags: int) -> int:
+    """Cyclic FFT length for a ``length``-point sequence that wraps no pair into ``lags`` lags."""
+    return 1 << (length + lags - 2).bit_length()
+
+
 def _autocorrelation(x: np.ndarray, lags: int) -> np.ndarray:
-    """a[k] = Sum_n x_n x_{n+k} for k < lags, by a cyclic FFT long enough to wrap no pair into them."""
-    size = 1 << (x.size + lags - 2).bit_length()
+    """a[k] = Sum_n x_n x_{n+k} for k < lags, by a cyclic FFT of `autocorrelation_size`."""
+    size = autocorrelation_size(x.size, lags)
     spectrum = np.fft.rfft(x, size)
     return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[:lags]
 

@@ -16,6 +16,8 @@ import numpy as np
 
 _SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
+# entries (rows x d) per `_deviation_laws` call of `success_slope_fit`; a call holds ~5 such arrays
+_LAW_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,9 @@ def success_slope_fit(source: CyclicCoeffs, n_grid) -> SlopeFit:
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("need at least two N values to fit a slope")
-    wrong = _deviation_laws(source, n_grid)[:, 1:].sum(axis=1)
+    rows = max(1, _LAW_BLOCK // source.d)  # memory does not grow with the grid
+    laws = (_deviation_laws(source, n_grid[i: i + rows]) for i in range(0, len(n_grid), rows))
+    wrong = np.concatenate([law[:, 1:].sum(axis=1) for law in laws])
     if wrong.min() <= 0.0:
         raise ValueError("wrong-outcome mass vanished on the grid; nothing to fit")
     slope, intercept = np.polyfit(np.array(n_grid, dtype=np.float64), np.log(wrong), 1)

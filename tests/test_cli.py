@@ -206,9 +206,8 @@ class TestRunSweep:
         started = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 started.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -220,7 +219,6 @@ class TestRunSweep:
                 return map(fn, rows)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(cli, "_worker_config", None)
         monkeypatch.setattr(cli, "POOL_POINTS", 0)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         config = cfg("u1-posterior", {"source": FOM_CONFIG["source"], "n_grid": [16, 32, 64],
@@ -247,7 +245,7 @@ class TestRunSweep:
     def test_rows_refused_or_beyond_float_range_count_no_work(self, monkeypatch, two_cpus, no_pool):
         fom = cli.EXPERIMENTS["u1-fom"]
         capped = cfg("u1-fom", {**FOM_CONFIG, "fft_cap": 100})
-        fits, refused = {"N": 100, "M": 10}, {"N": 200, "M": 15}
+        fits, refused = {"N": 50, "M": 8}, {"N": 200, "M": 15}
         assert max(size for _, size in fom.sizes(capped, fits)) <= 100
         assert cli._row_work(capped, fits) == sum(size for _, size in fom.sizes(capped, fits)) > 0
         assert max(size for _, size in fom.sizes(capped, refused)) > 100
@@ -411,16 +409,6 @@ class TestMain:
         assert main(["u1-fom", "--config", config, "--out", str(out), "--format", "json"]) == 0
         assert json.loads(out.read_text())["metadata"]["config_sha256"] == hash_one
 
-    def test_seed_flag_overrides(self, tmp_path):
-        payload = {**FOM_CONFIG, "methods": ["exact", "closed", "mc"], "mc_draws": 500}
-        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-        config = self.write(tmp_path, payload)
-        main(["u1-fom", "--config", config, "--out", str(out_a), "--format", "json"])
-        main(["u1-fom", "--config", config, "--out", str(out_b), "--format", "json", "--seed", "99"])
-        doc_a, doc_b = json.loads(out_a.read_text()), json.loads(out_b.read_text())
-        assert doc_a["metadata"]["seed"] == 11 and doc_b["metadata"]["seed"] == 99
-        assert doc_a["rows"][0]["f_mc"] != doc_b["rows"][0]["f_mc"]
-
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         bad = self.write(tmp_path, {"n_grid": [10]})
         assert main(["u1-fom", "--config", bad]) == 1
@@ -486,6 +474,8 @@ class TestMain:
             ["u1-fom", "--config", config, "--jobs", "x"],
             ["u1-fom", "--config", config, "--format", "yaml"],
             ["u2-fom", "--config", config],
+            # the seed comes from the config alone, so config_sha256 covers every input
+            ["u1-fom", "--config", config, "--seed", "5"],
         ):
             assert main(argv) == 1, argv
             assert "usage:" in capsys.readouterr().err
@@ -527,9 +517,9 @@ class TestMain:
         "experiment, payload, code, message",
         [
             ("u1-fom", {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 100}, 3,
-             "support estimate 119 exceeds fft_cap 100 at N=200, M=15"),
+             "autocorrelation transform 256 exceeds fft_cap 100 at N=200, M=15"),
             ("u1-rates", {**FOM_CONFIG, "n_grid": [400, 1600], "fft_cap": 256}, 3,
-             "support estimate 336 exceeds fft_cap 256 at N=1600, M=40"),
+             "autocorrelation transform 512 exceeds fft_cap 256 at N=1600, M=40"),
             ("mixed-bound", {"source": FAIR_SPECTRUM, "target": MIXED_TARGET, "n_grid": [64],
                              "m_schedule": {"list": [8]}, "class_cap": 1}, 3,
              "about 5 type classes at M=8, rank 2; cap is 1"),
@@ -563,10 +553,19 @@ class TestMain:
              # its default grid, 2 * 83942747 + 3 points, is its largest array
              "posterior grid 167885497 exceeds size cap 8388608 at N=100000000000000, M=8"),
             ("u1-fom", {**FOM_CONFIG, "n_grid": [16], "m_schedule": {"list": [4]},
-                        "methods": ["mc"], "mc_draws": 1000, "fft_cap": 1000},
-             "Monte Carlo term count 2000 exceeds fft_cap 1000 at N=16, M=4"),
+                        "methods": ["mc"], "mc_draws": 3000, "fft_cap": 5000},
+             "Monte Carlo term count 6000 exceeds fft_cap 5000 at N=16, M=4"),
+            # a source bound of 2^23 - 1: the sampling grid takes four times that
+            ("u1-fom", {**FOM_CONFIG, "n_grid": [998650091439], "m_schedule": {"list": [1]},
+                        "methods": ["mc"]},
+             "Monte Carlo sampling grid 33554428 exceeds fft_cap 8388608 at N=998650091439, M=1"),
+            # the same source and a 3-point target: 2^23 + 1 points need a 2^24 transform
+            ("u1-fom", {**FOM_CONFIG, "n_grid": [998650091439], "m_schedule": {"list": [2]},
+                        "methods": ["exact"]},
+             "autocorrelation transform 16777216 exceeds fft_cap 8388608 at N=998650091439, M=2"),
         ],
-        ids=["u1-posterior-n", "u1-posterior-grid", "mixed-bound-n", "u1-fom-mc-draws"],
+        ids=["u1-posterior-n", "u1-posterior-grid", "mixed-bound-n", "u1-fom-mc-draws",
+             "u1-fom-mc-grid", "u1-fom-exact-transform"],
     )
     def test_oversized_row_is_refused_by_its_estimate(
         self, tmp_path, capsys, monkeypatch, experiment, payload, message
@@ -674,13 +673,11 @@ class TestMain:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--seed", "-1"], "error: --seed must lie in [0, 2^64)"),
-            (["--seed", str(2**64)], "error: --seed must lie in [0, 2^64)"),
             (["--jobs", "0"], "error: --jobs must be >= 1"),
             (["--out", "{missing}/rows.csv"],
              "error: cannot write output: [Errno 2] No such file or directory: '{missing}/rows.csv'"),
         ],
-        ids=["seed-negative", "seed-too-large", "no-jobs", "unwritable-out"],
+        ids=["no-jobs", "unwritable-out"],
     )
     def test_bad_flag_value_is_an_error(self, tmp_path, capsys, flags, message):
         missing = str(tmp_path / "missing")

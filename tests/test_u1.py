@@ -381,7 +381,7 @@ class TestRateAnalysis:
         result = rates_sweep([400, 1600], {"a": 0.5}, fft_cap=256)
         fits, capped = result.rows
         assert fits["error"] is None
-        assert capped["error"] == "support estimate 336 exceeds fft_cap 256 at N=1600, M=40"
+        assert capped["error"] == "autocorrelation transform 512 exceeds fft_cap 256 at N=1600, M=40"
         assert exit_code_for(result.rows) == 3
         assert result.metadata["verdict"] == "indeterminate"
 

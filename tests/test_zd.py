@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_coeffs
+from phaseconv import zd
 from phaseconv.cli import main
 from phaseconv.zd import (
     CyclicCoeffs,
@@ -273,6 +274,25 @@ class TestSlopeFit:
             for m in (n, 2 * n):
                 want = float(wrong_mass_oracle(probs, m).ln())
                 assert abs(fit.intercept + fit.slope * m - want) <= 1e-11, (n, m)
+
+    @pytest.mark.parametrize("d", [3, 64])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_laws_in_blocks_give_the_one_call_fit(self, monkeypatch, d, rows):
+        source = random_coeffs(np.random.default_rng(d), d)
+        n_grid = list(range(1, 41))
+        whole = success_slope_fit(source, n_grid)
+        calls = []
+        laws = zd._deviation_laws
+
+        def recording(source, n_grid):
+            calls.append(len(n_grid) * source.d)
+            return laws(source, n_grid)
+
+        monkeypatch.setattr(zd, "_deviation_laws", recording)
+        monkeypatch.setattr(zd, "_LAW_BLOCK", rows * d + d - 1)
+        assert success_slope_fit(source, n_grid) == whole
+        assert len(calls) == -(-len(n_grid) // rows)
+        assert max(calls) <= zd._LAW_BLOCK
 
     def test_cli_fit_where_the_wrong_mass_is_below_round_off(self, tmp_path, capsys):
         # at N = 150 and 175 the wrong mass (about 4e-30 and 6e-35) is far below

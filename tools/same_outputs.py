@@ -2,8 +2,8 @@
 
     python3 tools/same_outputs.py --parent REV [--seeds 1 7 1801]
 
-REV is checked out with ``git worktree add --detach`` into a temporary
-directory, which is removed afterwards whatever happens.  For each tree a
+REV's ``src`` is extracted with ``git archive`` into a temporary directory,
+which is removed afterwards whatever happens.  For each tree a
 child process runs every sweep of the benchmark plans
 (``perfbench/workloads.py``'s ``build``) for each workload and seed through
 ``phaseconv.cli.main``, in ``--format csv`` and ``json`` and at ``--jobs 1``
@@ -88,13 +88,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree),
-                        args.parent], check=True, capture_output=True)
-        try:
-            _outputs_of(tree / "src", Path(tmp) / "before", args.seeds)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                           check=True)
+        tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        _outputs_of(tree / "src", Path(tmp) / "before", args.seeds)
         _outputs_of(ROOT / "src", Path(tmp) / "after", args.seeds)
         diffs = differing_files(Path(tmp) / "before", Path(tmp) / "after")
         total = sum(1 for p in (Path(tmp) / "after").iterdir() if p.suffix in (".csv", ".json"))
