@@ -6,13 +6,13 @@ Usage:
 
 Experiments: u1-fom, u1-posterior, u1-rates, zd, mixed-bound, mixed-oracle.
 The config is a JSON object; unknown keys are rejected and validation reports
-every problem at once.  Sweep rows are independent, so failures land in an
-``error`` column instead of aborting the run, and the row order never depends
-on the parallelism degree.  A row one of whose `Experiment.sizes` exceeds
+every problem at once.  Rows that share a costly input (one M of a
+`mixed-oracle` grid, a block of a `zd` grid) form a batch that builds it once.
+Failures land in an ``error`` column instead of aborting the run; a failed
+batch runs again row by row.  A row one of whose `Experiment.sizes` exceeds
 the cap is refused before it runs, and their sum is its estimated work.  A
-sweep runs in at most ``--jobs`` workers, one per CPU at most, once its
-estimated work reaches `POOL_POINTS`, in-process otherwise; the output
-depends on neither.
+sweep whose work reaches `POOL_POINTS` runs in at most ``--jobs`` workers, one
+per CPU at most, others in-process; the output depends on neither.
 
 Exit codes: 0 success, 1 usage, validation or I/O error, 2 some rows failed,
 3 some rows hit a resource cap.
@@ -60,12 +60,7 @@ from .u1 import (
     rate_verdict,
     sampling_points,
 )
-from .zd import (
-    CyclicCoeffs,
-    contraction_rate,
-    success_probability,
-    success_slope_fit,
-)
+from .zd import CyclicCoeffs, _block_rows, _deviation_laws, _slope_fit, contraction_rate
 
 SCHEMA_VERSION = 1
 DEFAULT_MC_DRAWS = 4096
@@ -293,55 +288,57 @@ def _posterior_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], .
     )
 
 
-def _fom_row(config: SweepConfig, row: dict) -> None:
+def _fom_rows(config: SweepConfig, rows: list[dict]) -> None:
     methods = getattr(config, "methods", _RATES_METHODS)
-    n, m = row["N"], row["M"]
     source, target = config.source, config.target
-    posterior = None  # one N-copy source spectrum serves both the exact and the mc leg
-    if "exact" in methods:
-        posterior = PosteriorSpec.for_copies(source, n)
-        row["f_exact"] = figure_of_merit_exact(posterior, target, m)
-    if "closed" in methods:
-        row["f_closed"] = figure_of_merit_closed(source.variance, n, target.variance, m)
-    if "exact" in methods and "closed" in methods:
-        row["gap"] = row["f_exact"] - row["f_closed"]
-    if "mc" in methods:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, m]))
-        posterior = posterior or PosteriorSpec.for_copies(source, n)
-        est, err = figure_of_merit_mc(posterior, target, m, config.mc_draws, rng)
-        row["f_mc"], row["f_mc_stderr"] = est, err
+    for row in rows:
+        n, m = row["N"], row["M"]
+        posterior = None  # one N-copy source spectrum serves both the exact and the mc leg
+        if "exact" in methods:
+            posterior = PosteriorSpec.for_copies(source, n)
+            row["f_exact"] = figure_of_merit_exact(posterior, target, m)
+        if "closed" in methods:
+            row["f_closed"] = figure_of_merit_closed(source.variance, n, target.variance, m)
+        if "exact" in methods and "closed" in methods:
+            row["gap"] = row["f_exact"] - row["f_closed"]
+        if "mc" in methods:
+            rng = np.random.default_rng(np.random.SeedSequence([config.seed, n, m]))
+            posterior = posterior or PosteriorSpec.for_copies(source, n)
+            est, err = figure_of_merit_mc(posterior, target, m, config.mc_draws, rng)
+            row["f_mc"], row["f_mc_stderr"] = est, err
 
 
-def _posterior_row(config: SweepConfig, row: dict) -> None:
-    spec = PosteriorSpec.for_copies(config.source, row["N"])
-    row["tv_exact_gauss"] = posterior_gauss_distance(spec, config.grid_points)
+def _posterior_rows(config: SweepConfig, rows: list[dict]) -> None:
+    for row in rows:
+        spec = PosteriorSpec.for_copies(config.source, row["N"])
+        row["tv_exact_gauss"] = posterior_gauss_distance(spec, config.grid_points)
 
 
-def _zd_row(config: SweepConfig, row: dict) -> None:
-    row["success_prob"] = success_probability(config.probs, row["N"])
-    row["epsilon"] = contraction_rate(config.probs)
+def _zd_rows(config: SweepConfig, rows: list[dict]) -> None:
+    laws = _deviation_laws(config.probs, [row["N"] for row in rows])
+    epsilon = contraction_rate(config.probs)
+    for row, law, wrong in zip(rows, laws[:, 0].tolist(), laws[:, 1:].sum(axis=1).tolist()):
+        row.update(success_prob=law, epsilon=epsilon, _wrong=wrong)  # the slope fit reads _wrong
 
 
-def _bound_row(config: SweepConfig, row: dict) -> None:
-    # the classes first: a class-cap refusal costs no N-copy power
-    dec = typical_decomposition(
-        config.target, row["M"], config.epsilon, class_cap=config.class_cap
-    )
-    spec = PosteriorSpec.for_copies(config.source, row["N"])
-    row["f_bound"] = figure_of_merit_mixed_bound(
-        spec, dec, method=config.bound_method, grid_points=config.grid_points
-    )
-    row["delta_rho"] = dec.residual_mass
-    row["epsilon"] = dec.epsilon_used
-    row["n_classes"] = dec.n_classes
+def _bound_rows(config: SweepConfig, rows: list[dict]) -> None:
+    for row in rows:
+        # the classes first: a class-cap refusal costs no N-copy power
+        dec = typical_decomposition(config.target, row["M"], config.epsilon, class_cap=config.class_cap)
+        spec = PosteriorSpec.for_copies(config.source, row["N"])
+        row["f_bound"] = figure_of_merit_mixed_bound(
+            spec, dec, method=config.bound_method, grid_points=config.grid_points
+        )
+        row.update(delta_rho=dec.residual_mass, epsilon=dec.epsilon_used, n_classes=dec.n_classes)
 
 
-def _oracle_row(config: SweepConfig, row: dict) -> None:
-    m, gamma = row["M"], row["gamma"]
-    row["f_exact"] = exact_mixed_fidelity_small(config.target, m, gamma)
+def _oracle_rows(config: SweepConfig, rows: list[dict]) -> None:
+    for row in rows:
+        row["f_exact"] = exact_mixed_fidelity_small(config.target, row["M"], row["gamma"])
     # the classes after f_exact: a row refused by the class cap keeps it
-    dec = typical_decomposition(config.target, m, config.epsilon)
-    row["f_bound"] = fidelity_mixed_lower_bound(dec, gamma, method=config.bound_method)
+    dec = typical_decomposition(config.target, rows[0]["M"], config.epsilon)
+    for row in rows:  # one floor call per angle: an array of angles sums in another order
+        row["f_bound"] = fidelity_mixed_lower_bound(dec, row["gamma"], method=config.bound_method)
 
 
 def _clean(rows: list[dict]) -> bool:
@@ -366,15 +363,12 @@ def _posterior_metadata(config: SweepConfig, rows: list[dict]) -> dict:
 
 
 def _zd_metadata(config: SweepConfig, rows: list[dict]) -> dict:
-    meta = {"epsilon": contraction_rate(config.probs)}
+    # the rows' epsilon, unless the first row failed before it
+    meta = {"epsilon": rows[0]["epsilon"] if "epsilon" in rows[0] else contraction_rate(config.probs)}
     if len(rows) >= 2 and _clean(rows):
         try:
-            fit = success_slope_fit(config.probs, [row["N"] for row in rows])
-            meta["slope_fit"] = {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "slope_theory": fit.slope_theory,
-            }
+            fit = _slope_fit([row["N"] for row in rows], [row["_wrong"] for row in rows], meta["epsilon"])
+            meta["slope_fit"] = {key: getattr(fit, key) for key in ("slope", "intercept", "slope_theory")}
         except ValueError as exc:
             meta["slope_fit"] = {"error": str(exc)}
     return meta
@@ -388,9 +382,9 @@ class Experiment:
     `_REQUIRED` for a mandatory key.  A check takes (problems, key, value,
     values validated so far), appends one message per problem and returns
     the validated value, or None on failure.  ``row_keys`` gives each row's
-    key columns and ``row`` fills in the rest of a row in place, calling the
-    library through this module's globals so that it can be traced or
-    patched here.  ``metadata`` summarizes the rows for the JSON output.
+    key columns in grid order, and ``row`` fills in up to ``batch`` consecutive
+    rows a call, through this module's globals so that the library can be
+    traced or patched here.  ``metadata`` summarizes the rows for the JSON output.
     ``sizes`` gives (what, length) for each array a row will allocate, from
     its inputs alone: `_preflight` refuses a row with one above the cap, and
     their sum is its work in points, the unit of `POOL_POINTS`.  Rows without
@@ -400,9 +394,10 @@ class Experiment:
     keys: tuple[tuple[str, Callable, object], ...]
     header: tuple[str, ...]
     row_keys: Callable[[SweepConfig], list[dict]]
-    row: Callable[[SweepConfig, dict], None]
+    row: Callable[[SweepConfig, list[dict]], None]
     metadata: Callable[[SweepConfig, list[dict]], dict] = lambda config, rows: {}
     sizes: Callable[[SweepConfig, dict], tuple[tuple[str, int], ...]] = lambda config, row: ()
+    batch: Callable[[SweepConfig], int] = lambda config: 1
 
 
 _POSITIVE_INT = _check(lambda v: _is_int(v) and v >= 1, "a positive integer")
@@ -433,13 +428,13 @@ EXPERIMENTS = {
              DEFAULT_MC_DRAWS),
             _FFT_CAP,
         ),
-        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row, sizes=_fom_sizes,
+        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_rows, sizes=_fom_sizes,
     ),
     "u1-posterior": Experiment(
         keys=(_SOURCE, _N_GRID, ("grid_points", _GRID_POINTS, 8192)),
         header=("N", "tv_exact_gauss"),
         row_keys=lambda config: [{"N": n} for n in config.n_grid],
-        row=_posterior_row, metadata=_posterior_metadata, sizes=_posterior_sizes,
+        row=_posterior_rows, metadata=_posterior_metadata, sizes=_posterior_sizes,
     ),
     "u1-rates": Experiment(
         keys=(
@@ -448,16 +443,15 @@ EXPERIMENTS = {
              CONVERGENCE_THRESHOLD),
             _FFT_CAP,
         ),
-        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_row, metadata=_rates_metadata,
+        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_rows, metadata=_rates_metadata,
         sizes=_fom_sizes,
     ),
     "zd": Experiment(
         keys=(("probs", _take_cyclic, _REQUIRED), _N_GRID),
         header=("d", "N", "success_prob", "epsilon"),
         row_keys=lambda config: [{"d": config.probs.d, "N": n} for n in config.n_grid],
-        row=_zd_row, metadata=_zd_metadata,
-        # no sizes, so no work: a row takes about 0.1 ms, less than a pool spends passing
-        # it to a worker; 600 rows took 80 ms in-process and 540 ms in a pool
+        row=_zd_rows, metadata=_zd_metadata, batch=lambda config: _block_rows(config.probs),
+        # no sizes, so no work: a grid of under 2^20 / d points is one batch, which no pool splits
     ),
     "mixed-bound": Experiment(
         # None defers to the library: epsilon ((ln M)/M)^(1/4), grid_points max(4097, 2*span+3)
@@ -467,7 +461,7 @@ EXPERIMENTS = {
             ("class_cap", _POSITIVE_INT, DEFAULT_CLASS_CAP),
         ),
         header=("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
-        row_keys=_n_m_keys, row=_bound_row, sizes=_posterior_sizes,
+        row_keys=_n_m_keys, row=_bound_rows, sizes=_posterior_sizes,
         metadata=lambda config, rows: {"bound_method": config.bound_method},
     ),
     "mixed-oracle": Experiment(
@@ -486,13 +480,9 @@ EXPERIMENTS = {
         row_keys=lambda config: [
             {"M": m, "gamma": g} for m in config.m_grid for g in config.gamma_grid
         ],
-        row=_oracle_row,
-        metadata=lambda config, rows: {
-            "bound_method": config.bound_method, "epsilon": config.epsilon
-        },
-        # no sizes, so no work: a rank-2 row takes 0.15 ms at M = 3 and 4.3 ms at M = 4096,
-        # against 9-22 ms to start a pool of two on a 2-CPU VM; a 60-row grid at
-        # M = 1024-4096 took 163 ms in-process and 108 ms in a pool of two
+        row=_oracle_rows, batch=lambda config: len(config.gamma_grid),  # one M
+        metadata=lambda config, rows: {"bound_method": config.bound_method, "epsilon": config.epsilon},
+        # no sizes, so no work: 60 rank-2 rows at M = 1024-4096 on a 2-CPU VM took 12 ms, 26 in a pool
     ),
 }
 
@@ -552,27 +542,27 @@ def _preflight(config: SweepConfig, row: dict) -> int:
     return sum(size for _, size in sizes)
 
 
-def _compute_row(config: SweepConfig, row: dict) -> dict:
-    """Fill in one sweep row; failures are captured, never raised.
+def _compute_rows(config: SweepConfig, keys: list[dict]) -> list[dict]:
+    """Fill in one batch of sweep rows; failures are captured, never raised.
 
-    A failed row keeps its key columns and the values computed before the
-    failure; a row refused by `_preflight` has allocated nothing.
+    A failed batch runs again row by row: a failed row keeps its key columns and
+    the values computed before the failure; one refused by `_preflight` has allocated nothing.
     """
+    rows = [{**key, "error": None} for key in keys]
     try:
-        _preflight(config, row)
-        EXPERIMENTS[config.experiment].row(config, row)
-        row["error"] = None
-    except ResourceCapError as exc:
-        row["error"] = str(exc)
-        row["_cap"] = True
+        for key in keys:
+            _preflight(config, key)
+        EXPERIMENTS[config.experiment].row(config, rows)
     # RuntimeError and its subclasses (RecursionError, NotImplementedError) mark a
     # computation that failed where no input check could foresee it
     except (
         PhaseconvError, ValueError, OverflowError, FloatingPointError, RuntimeError, MemoryError
     ) as exc:
+        if len(keys) > 1:
+            return [row for key in keys for row in _compute_rows(config, [key])]
         # a bare MemoryError has no message; an empty cell would read as success
-        row["error"] = str(exc) or type(exc).__name__
-    return row
+        rows[0].update(error=str(exc) or type(exc).__name__, _cap=isinstance(exc, ResourceCapError))
+    return rows
 
 
 def _row_work(config: SweepConfig, key: dict) -> int:
@@ -585,24 +575,26 @@ def _row_work(config: SweepConfig, key: dict) -> int:
 def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run all rows of a sweep; deterministic given the config, any jobs value.
 
-    A sweep whose estimated work reaches `POOL_POINTS` runs in a pool of
-    min(``jobs``, rows, CPU count) workers if that is two or more; every other
-    sweep runs in-process.  The decision reads the config alone, never the clock.
+    A sweep whose estimated work reaches `POOL_POINTS` runs its batches in a
+    pool of min(``jobs``, batches, CPU count) workers if that is two or more,
+    in-process otherwise.  The decision reads the config alone, never the clock.
     """
     start = time.perf_counter()
     experiment = EXPERIMENTS[config.experiment]
-    keys = experiment.row_keys(config)
-    workers = min(jobs, len(keys), os.cpu_count() or 1)
-    works = [_row_work(config, key) for key in keys] if workers > 1 else []
+    keys, size = experiment.row_keys(config), experiment.batch(config)
+    batches = [keys[i : i + size] for i in range(0, len(keys), size)]
+    workers = min(jobs, len(batches), os.cpu_count() or 1)
+    works = [sum(_row_work(config, key) for key in batch) for batch in batches] if workers > 1 else []
     if works and sum(works) >= POOL_POINTS:
-        # a task takes as many rows as fit in a quarter of a worker's share if each
-        # is the costliest: like rows share tasks, a geometric grid's do not
+        # a task takes as many batches as fit in a quarter of a worker's share if each
+        # is the costliest: like batches share tasks, a geometric grid's do not
         chunk = max(1, sum(works) // (4 * workers * max(1, *works)))
         # through the module, so that the first pool start binds the name
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(_compute_row, config), keys, chunksize=chunk))
+            done = pool.map(partial(_compute_rows, config), batches, chunksize=chunk)
+            rows = [row for batch in done for row in batch]
     else:
-        rows = [_compute_row(config, key) for key in keys]
+        rows = [row for batch in batches for row in _compute_rows(config, batch)]
     header = result_header(config.experiment, getattr(config, "methods", ()))
     result = SweepResult(config.experiment, header, rows, experiment.metadata(config, rows))
     result.metadata.update(
@@ -641,13 +633,12 @@ def _round_floats(obj):
 
 
 def emit(result: SweepResult, fmt: str = "csv") -> str:
-    """Render a sweep result as CSV (rows only) or JSON (rows plus metadata)."""
-    rows = [{k: v for k, v in row.items() if not k.startswith("_")} for row in result.rows]
+    """Render a sweep result's header columns as CSV (rows only) or JSON (rows plus metadata)."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(result.header)
-        for row in rows:
+        for row in result.rows:
             writer.writerow([_fmt_cell(row.get(col)) for col in result.header])
         return buf.getvalue()
     if fmt == "json":
@@ -657,7 +648,7 @@ def emit(result: SweepResult, fmt: str = "csv") -> str:
             "metadata": _round_floats(result.metadata),
             "header": list(result.header),
             "rows": [
-                {col: _round_floats(row.get(col)) for col in result.header} for row in rows
+                {col: _round_floats(row.get(col)) for col in result.header} for row in result.rows
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"

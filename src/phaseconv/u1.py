@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,11 +54,11 @@ class NumberState:
         if np.any(self.spectrum.probs == 0):
             raise ValueError("number spectrum has interior zeros")
 
-    @property
+    @cached_property  # computed on first read; the frozen fields never change it
     def mean(self) -> float:
         return moments(self.spectrum)[0]
 
-    @property
+    @cached_property
     def variance(self) -> float:
         return moments(self.spectrum)[1]
 

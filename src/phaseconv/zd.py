@@ -16,7 +16,7 @@ import numpy as np
 
 _SUM_TOL = 1e-12
 _NORM_TOL = 1e-12
-# entries (rows x d) per `_deviation_laws` call of `success_slope_fit`; a call holds ~5 such arrays
+# entries (rows x d) per `_deviation_laws` call over a grid; a call holds ~5 such arrays
 _LAW_BLOCK = 1 << 20
 
 
@@ -137,6 +137,10 @@ def _deviation_laws(source: CyclicCoeffs, n_grid) -> np.ndarray:
     return laws
 
 
+def _block_rows(source: CyclicCoeffs) -> int:
+    return max(1, _LAW_BLOCK // source.d)  # grid points a call: memory does not grow with the grid
+
+
 def outcome_distribution(source: CyclicCoeffs, n_copies: int, m_true: int = 0) -> np.ndarray:
     """Pr(guess m1 | true shift m_true) for the N-copy protocol, as a length-d vector.
 
@@ -174,12 +178,16 @@ def success_slope_fit(source: CyclicCoeffs, n_grid) -> SlopeFit:
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("need at least two N values to fit a slope")
-    rows = max(1, _LAW_BLOCK // source.d)  # memory does not grow with the grid
+    rows = _block_rows(source)
     laws = (_deviation_laws(source, n_grid[i: i + rows]) for i in range(0, len(n_grid), rows))
     wrong = np.concatenate([law[:, 1:].sum(axis=1) for law in laws])
-    if wrong.min() <= 0.0:
+    return _slope_fit(n_grid, wrong, contraction_rate(source))
+
+
+def _slope_fit(n_grid, wrong, epsilon: float) -> SlopeFit:
+    """Least-squares line through (N, ln wrong) for the wrong-outcome masses of ``n_grid``."""
+    if np.min(wrong) <= 0.0:
         raise ValueError("wrong-outcome mass vanished on the grid; nothing to fit")
     slope, intercept = np.polyfit(np.array(n_grid, dtype=np.float64), np.log(wrong), 1)
-    eps = contraction_rate(source)
-    theory = 2.0 * math.log(eps) if eps > 0 else -math.inf
+    theory = 2.0 * math.log(epsilon) if epsilon > 0 else -math.inf
     return SlopeFit(float(slope), float(intercept), theory, tuple(n_grid))

@@ -42,11 +42,11 @@ def random_state(rng, max_len: int = 6, max_offset: int = 3) -> NumberState:
     return NumberState(random_spectrum(rng, max_len, max_offset))
 
 
-def random_mixture(rng, max_rank: int = 3) -> MixedTarget:
+def random_mixture(rng, max_rank: int = 3, max_len: int = 3, max_offset: int = 1) -> MixedTarget:
     rank = int(rng.integers(1, max_rank + 1))
     comps, seen = [], set()
     while len(comps) < rank:
-        state = random_state(rng, max_len=3, max_offset=1)
+        state = random_state(rng, max_len=max_len, max_offset=max_offset)
         key = (state.spectrum.offset, len(state.spectrum))
         if key in seen:
             continue

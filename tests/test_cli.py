@@ -46,13 +46,13 @@ def cfg(experiment, payload):
 
 @pytest.fixture
 def pooled_n(monkeypatch):
-    """The N of every row that a sweep hands to a worker pool."""
+    """The N of every row that a sweep hands to a worker pool, in its batches."""
     pooled = []
 
     class RecordingPool(cli.ProcessPoolExecutor):
-        def map(self, fn, rows, **kwargs):
-            pooled.extend(row["N"] for row in rows)
-            return super().map(fn, rows, **kwargs)
+        def map(self, fn, batches, **kwargs):
+            pooled.extend(row["N"] for batch in batches for row in batch)
+            return super().map(fn, batches, **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     return pooled
@@ -453,16 +453,24 @@ class TestMain:
             assert row["error"] == "" and float(row["f_bound"]) <= float(row["f_exact"]) + 1e-10
 
     def test_oracle_row_beyond_class_cap_keeps_f_exact(self, tmp_path):
-        # the class-count estimate refuses the bound before any class is enumerated
-        payload = {"target": MIXED_TARGET, "m_grid": [2_000_000], "gamma_grid": [0.001]}
+        # the class-count estimate refuses the bound before any class is enumerated; the
+        # refused M's batch runs again row by row, and the M = 2 batch is untouched
+        payload = {"target": MIXED_TARGET, "m_grid": [2, 2_000_000], "gamma_grid": [0.001, -0.3]}
         out = tmp_path / "rows.csv"
         args = ["mixed-oracle", "--config", self.write(tmp_path, payload), "--out", str(out)]
         assert main(args) == 3
-        [row] = csv.DictReader(out.read_text().splitlines())
-        # oracle: both components are fair bits, each with |phi(gamma)| = cos(gamma/2)
-        assert float(row["f_exact"]) == pytest.approx(math.cos(0.0005) ** 4_000_000, rel=1e-8)
-        assert row["f_bound"] == ""
-        assert row["error"] == "about 2000001 type classes at M=2000000, rank 2; cap is 1000000"
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [(row["M"], row["gamma"]) for row in rows] == [
+            ("2", "0.001"), ("2", "-0.3"), ("2000000", "0.001"), ("2000000", "-0.3")
+        ]
+        for row in rows:
+            # oracle: both components are fair bits, each with |phi(gamma)| = cos(gamma/2)
+            m, gamma = int(row["M"]), float(row["gamma"])
+            assert float(row["f_exact"]) == pytest.approx(math.cos(gamma / 2) ** (2 * m), rel=1e-8)
+        assert all(row["f_bound"] != "" and row["error"] == "" for row in rows[:2])
+        for row in rows[2:]:
+            assert row["f_bound"] == ""
+            assert row["error"] == "about 2000001 type classes at M=2000000, rank 2; cap is 1000000"
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["u1-fom", "--config", str(tmp_path / "nope.json")]) == 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from phaseconv import ConfigValidationError, cli
+from phaseconv import ConfigValidationError, cli, zd
 from phaseconv.cli import emit, exit_code_for, parse_config, run_sweep
 
 FAIR = {"probs": [0.5, 0.5]}
@@ -50,6 +50,7 @@ class TestEveryExperiment:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(cli, "POOL_POINTS", 0)
+        monkeypatch.setattr(zd, "_LAW_BLOCK", 1)  # a zd batch of one row: two tasks to pool
         config = parse_config(json.dumps(MINIMAL[experiment]), experiment)
         serial, pooled = run_sweep(config, jobs=1), run_sweep(config, jobs=2)
         assert starts == [2]

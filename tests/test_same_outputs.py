@@ -1,15 +1,22 @@
-"""`tools/same_outputs.py` flags every output difference except the wall time.
+"""`tools/same_outputs.py` flags every output difference except the wall time,
+and its write mode runs the wide-input plan.
 
-Only its comparison runs here, on two small synthetic output directories; no
-git command and no sweep runs.
+Its comparison runs on two small synthetic output directories, and its write
+mode with a stand-in for `cli.main`; no git command and no sweep runs.
 """
 import importlib.util
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+from phaseconv import cli
+from phaseconv.mixed import DEFAULT_CLASS_CAP
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "same_outputs.py"
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +78,40 @@ def test_a_missing_output_is_a_difference(tmp_path, tool):
     after = write_outputs(tmp_path / "after", CSV, 0.1, 0)
     (after / "zd-jobs1.csv.stderr").unlink()
     assert tool.differing_files(before, after) == ["zd-jobs1.csv.stderr"]
+
+
+def test_write_mode_runs_the_wide_plan(tmp_path, tool, monkeypatch):
+    runs = []
+
+    def main(argv):
+        runs.append(argv)
+        Path(argv[argv.index("--out") + 1]).write_text("")
+        return 0
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # write mode prepends the package path
+    monkeypatch.setattr(cli, "main", main)
+    tool.write_outputs(ROOT / "src", tmp_path, [])  # no seed: no benchmark plan runs
+    plan = tool.wide_plan()
+    assert [argv[0] for argv in runs] == [sweep["experiment"] for sweep in plan for _ in range(4)]
+    for sweep in plan:
+        stem = f"wide-{sweep['name']}"
+        assert json.loads((tmp_path / f"{stem}.config").read_text()) == sweep["config"]
+        for name in (f"{stem}-jobs{jobs}.{fmt}" for fmt in ("csv", "json") for jobs in (1, 2)):
+            assert (tmp_path / f"{name}.exit").read_text() == "0\n"
+
+
+def test_the_wide_plan_is_wider_than_the_benchmark(tool):
+    zd, *oracles = tool.wide_plan()
+    assert len(zd["config"]["probs"]) == 64
+    assert len(zd["config"]["n_grid"]) >= 90 and {10**20, 10**400} <= set(zd["config"]["n_grid"])
+    classes = []
+    for sweep in oracles:
+        config = sweep["config"]
+        assert len(config["gamma_grid"]) == 7 and math.pi in config["gamma_grid"]
+        assert min(config["gamma_grid"]) < 0
+        rank = len(config["target"]["components"])
+        assert all(15 <= len(c["probs"]) <= 25 for c in config["target"]["components"])
+        classes += [(rank, m, math.comb(m + rank - 1, rank - 1)) for m in config["m_grid"]]
+    assert max(m for rank, m, _ in classes if rank == 4) == 64
+    assert max(m for rank, m, count in classes if rank == 3 and count <= DEFAULT_CLASS_CAP) == 1024
+    assert any(count > DEFAULT_CLASS_CAP for *_, count in classes)

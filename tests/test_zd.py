@@ -346,6 +346,16 @@ def test_cli_rows_at_copy_numbers_beyond_int64(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1] == f"3,{10**400},,,int too large to convert to float"
     assert captured.err == "row error: int too large to convert to float\n"
+    # the failing row shares its batch with two rows that pass: only it fails
+    config.write_text(json.dumps({"probs": [0.7, 0.2, 0.1], "n_grid": [2, 5, 10**400]}))
+    assert main(["zd", "--config", str(config), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == [
+        "3,2,0.952925342056,0.556776436283,",
+        f"3,5,{success_probability(CyclicCoeffs(np.array([0.7, 0.2, 0.1])), 5):.12g},0.556776436283,",
+        f"3,{10**400},,,int too large to convert to float",
+    ]
+    assert captured.err == "row error: int too large to convert to float\n"
 
 
 def test_cli_refuses_a_sum_off_by_more_than_1e12(tmp_path, capsys):

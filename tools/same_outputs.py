@@ -5,12 +5,12 @@
 REV's ``src`` is extracted with ``git archive`` into a temporary directory,
 which is removed afterwards whatever happens.  For each tree a
 child process runs every sweep of the benchmark plans
-(``perfbench/workloads.py``'s ``build``) for each workload and seed through
-``phaseconv.cli.main``, in ``--format csv`` and ``json`` and at ``--jobs 1``
-and ``2``.  Both trees run the working tree's plans.  The outputs are
-compared byte for byte, JSON without the value of ``metadata.wall_time_s``,
-and so are the exit codes and stderr.  Exits 1 and names the files on any
-difference, 0 otherwise.
+(``perfbench/workloads.py``'s ``build``) for each workload and seed, and of
+the fixed `wide_plan`, through ``phaseconv.cli.main``, in ``--format csv``
+and ``json`` and at ``--jobs 1`` and ``2``.  Both trees run the working
+tree's plans.  The outputs are compared byte for byte, JSON without the
+value of ``metadata.wall_time_s``, and so are the exit codes and stderr.
+Exits 1 and names the files on any difference, 0 otherwise.
 
 Each child runs ``same_outputs.py --write SRC OUT SEED...``, which writes the
 outputs of the package under SRC into the directory OUT.
@@ -22,14 +22,53 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 _WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]*')
+ANGLES = [math.pi, -2.0, -0.3, 1e-7, 1e-3, 0.5, 2.5]
+
+
+def _probs(rng, size: int) -> list[float]:
+    probs = rng.uniform(0.05, 1.0, size)
+    return (probs / probs.sum()).tolist()
+
+
+def _mixture(rng, sizes: list[int]) -> dict:
+    components = [{"probs": _probs(rng, size), "offset": int(rng.integers(0, 40))} for size in sizes]
+    return {"components": components, "weights": _probs(rng, len(sizes))}
+
+
+def wide_plan() -> list[dict]:
+    """Sweeps on inputs wider than the benchmark's, where rows share a batch.
+
+    A summation-order change shows on them that the benchmark's narrow grids
+    (zd at d <= 6, oracle rank 2 with components of at most 3 entries at
+    M <= 3) may hide: a zd grid at d = 64 over 99 N up to 10^20 and one
+    10^400 row, which fails, and mixed-oracle targets of rank 4 and 3 with
+    15-25-entry components at M up to 64 and 1024, 7 angles each; the rank-3
+    grid ends at an M whose 2,100,225 classes exceed the class cap.
+    """
+    rng = np.random.default_rng(25)
+    n_grid = sorted({int(10**x) for x in np.linspace(0.0, 20.0, 100)}) + [10**400]
+    rank3 = {"target": _mixture(rng, [25, 15, 20]), "m_grid": [1, 2, 64, 1024, 2048],
+             "gamma_grid": ANGLES}
+    return [
+        {"name": "zd-d64", "experiment": "zd", "config": {"probs": _probs(rng, 64), "n_grid": n_grid}},
+        {"name": "oracle-rank4", "experiment": "mixed-oracle",
+         "config": {"target": _mixture(rng, [15, 25, 18, 22]), "m_grid": [1, 2, 8, 64],
+                    "gamma_grid": ANGLES}},
+        {"name": "oracle-rank3", "experiment": "mixed-oracle", "config": rank3},
+        {"name": "oracle-rank3-gauss", "experiment": "mixed-oracle",
+         "config": {**rank3, "bound_method": "gauss"}},
+    ]
 
 
 def write_outputs(src: Path, out: Path, seeds: list[int]) -> None:
@@ -43,22 +82,23 @@ def write_outputs(src: Path, out: Path, seeds: list[int]) -> None:
     from phaseconv import cli
 
     out.mkdir(parents=True, exist_ok=True)
-    for workload in workloads.WORKLOADS:
-        for seed in seeds:
-            for sweep in workloads.build(workload, seed):
-                stem = f"{workload}-{seed}-{sweep['name']}"
-                config = out / f"{stem}.config"
-                config.write_text(json.dumps(sweep["config"]))
-                for fmt in ("csv", "json"):
-                    for jobs in ("1", "2"):
-                        name = f"{stem}-jobs{jobs}.{fmt}"
-                        argv = [sweep["experiment"], "--config", str(config),
-                                "--out", str(out / name), "--format", fmt, "--jobs", jobs]
-                        err = io.StringIO()
-                        with contextlib.redirect_stderr(err):
-                            code = cli.main(argv)
-                        (out / f"{name}.exit").write_text(f"{code}\n")
-                        (out / f"{name}.stderr").write_text(err.getvalue())
+    plans = [(f"{workload}-{seed}", workloads.build(workload, seed))
+             for workload in workloads.WORKLOADS for seed in seeds]
+    for prefix, sweeps in plans + [("wide", wide_plan())]:
+        for sweep in sweeps:
+            stem = f"{prefix}-{sweep['name']}"
+            config = out / f"{stem}.config"
+            config.write_text(json.dumps(sweep["config"]))
+            for fmt in ("csv", "json"):
+                for jobs in ("1", "2"):
+                    name = f"{stem}-jobs{jobs}.{fmt}"
+                    argv = [sweep["experiment"], "--config", str(config),
+                            "--out", str(out / name), "--format", fmt, "--jobs", jobs]
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    (out / f"{name}.exit").write_text(f"{code}\n")
+                    (out / f"{name}.stderr").write_text(err.getvalue())
 
 
 def _comparable(path: Path) -> bytes:
