@@ -8,11 +8,13 @@ Library layout:
   yield schedules M(N) and their convergence verdict.
 - `mixed`: typical-type-class decomposition, mixed-target lower bounds and
   the exact mixed-target fidelity in closed form.
-- `zd`: exact cyclic-group protocol with geometric convergence.
+- `zd`: exact cyclic-group protocol: the N-copy deviation law `deviation_laws`
+  and the geometric convergence rate.
 - `cli`: the `phaseconv` sweep runner.
 
 The slow independent oracles that check these (direct convolution, dense
-phase sums, Uhlmann fidelity, brute-force enumeration) live with the tests.
+phase sums, Uhlmann fidelity, brute-force enumeration, and the Z_d state
+model with its eta-basis measurement) live with the tests.
 """
 
 __version__ = "0.1.0"
@@ -58,13 +60,8 @@ from .u1 import (
 )
 from .zd import (
     CyclicCoeffs,
-    CyclicState,
-    canonical_coeffs,
     contraction_rate,
-    measure_eta_basis,
-    outcome_distribution,
-    phase_shifted,
-    representative_state,
+    deviation_laws,
     success_probability,
     success_slope_fit,
 )

@@ -60,7 +60,7 @@ from .u1 import (
     rate_verdict,
     sampling_points,
 )
-from .zd import CyclicCoeffs, _block_rows, _deviation_laws, _slope_fit, contraction_rate
+from .zd import CyclicCoeffs, block_rows, contraction_rate, deviation_laws, slope_fit
 
 SCHEMA_VERSION = 1
 DEFAULT_MC_DRAWS = 4096
@@ -315,7 +315,7 @@ def _posterior_rows(config: SweepConfig, rows: list[dict]) -> None:
 
 
 def _zd_rows(config: SweepConfig, rows: list[dict]) -> None:
-    laws = _deviation_laws(config.probs, [row["N"] for row in rows])
+    laws = deviation_laws(config.probs, [row["N"] for row in rows])
     epsilon = contraction_rate(config.probs)
     for row, law, wrong in zip(rows, laws[:, 0].tolist(), laws[:, 1:].sum(axis=1).tolist()):
         row.update(success_prob=law, epsilon=epsilon, _wrong=wrong)  # the slope fit reads _wrong
@@ -367,7 +367,7 @@ def _zd_metadata(config: SweepConfig, rows: list[dict]) -> dict:
     meta = {"epsilon": rows[0]["epsilon"] if "epsilon" in rows[0] else contraction_rate(config.probs)}
     if len(rows) >= 2 and _clean(rows):
         try:
-            fit = _slope_fit([row["N"] for row in rows], [row["_wrong"] for row in rows], meta["epsilon"])
+            fit = slope_fit([row["N"] for row in rows], [row["_wrong"] for row in rows], meta["epsilon"])
             meta["slope_fit"] = {key: getattr(fit, key) for key in ("slope", "intercept", "slope_theory")}
         except ValueError as exc:
             meta["slope_fit"] = {"error": str(exc)}
@@ -450,7 +450,7 @@ EXPERIMENTS = {
         keys=(("probs", _take_cyclic, _REQUIRED), _N_GRID),
         header=("d", "N", "success_prob", "epsilon"),
         row_keys=lambda config: [{"d": config.probs.d, "N": n} for n in config.n_grid],
-        row=_zd_rows, metadata=_zd_metadata, batch=lambda config: _block_rows(config.probs),
+        row=_zd_rows, metadata=_zd_metadata, batch=lambda config: block_rows(config.probs),
         # no sizes, so no work: a grid of under 2^20 / d points is one batch, which no pool splits
     ),
     "mixed-bound": Experiment(
@@ -493,7 +493,7 @@ def parse_config(text: str, experiment: str) -> SweepConfig:
         raise ConfigValidationError([f"experiment: unknown kind {experiment!r}"])
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigValidationError([f"config: invalid JSON ({exc})"]) from exc
     if not isinstance(raw, dict):
         raise ConfigValidationError(["config: top level must be a JSON object"])
@@ -531,7 +531,10 @@ def _preflight(config: SweepConfig, row: dict) -> int:
 
     Raises `ResourceCapError` if the largest size exceeds the cap: the
     config's ``fft_cap``, or `DEFAULT_FFT_CAP` for an experiment without one.
+    Raises `OverflowError` for a key beyond float range, which no row can compute.
     """
+    for value in row.values():
+        float(value)
     sizes = EXPERIMENTS[config.experiment].sizes(config, row)
     what, worst = max(sizes, key=lambda size: size[1], default=("", 0))
     cap = getattr(config, "fft_cap", DEFAULT_FFT_CAP)
@@ -542,26 +545,35 @@ def _preflight(config: SweepConfig, row: dict) -> int:
     return sum(size for _, size in sizes)
 
 
-def _compute_rows(config: SweepConfig, keys: list[dict]) -> list[dict]:
-    """Fill in one batch of sweep rows; failures are captured, never raised.
-
-    A failed batch runs again row by row: a failed row keeps its key columns and
-    the values computed before the failure; one refused by `_preflight` has allocated nothing.
-    """
-    rows = [{**key, "error": None} for key in keys]
+def _attempt(row: dict, step: Callable, *args) -> bool:
+    """Call ``step(*args)``; a failure lands in ``row``'s error cell instead of raising."""
     try:
-        for key in keys:
-            _preflight(config, key)
-        EXPERIMENTS[config.experiment].row(config, rows)
+        step(*args)
+        return True
     # RuntimeError and its subclasses (RecursionError, NotImplementedError) mark a
     # computation that failed where no input check could foresee it
     except (
         PhaseconvError, ValueError, OverflowError, FloatingPointError, RuntimeError, MemoryError
     ) as exc:
-        if len(keys) > 1:
-            return [row for key in keys for row in _compute_rows(config, [key])]
         # a bare MemoryError has no message; an empty cell would read as success
-        rows[0].update(error=str(exc) or type(exc).__name__, _cap=isinstance(exc, ResourceCapError))
+        row.update(error=str(exc) or type(exc).__name__, _cap=isinstance(exc, ResourceCapError))
+        return False
+
+
+def _compute_rows(config: SweepConfig, keys: list[dict]) -> list[dict]:
+    """Fill in one batch of sweep rows; failures are captured, never raised.
+
+    A row `_preflight` refuses fails alone, having allocated nothing, and the
+    rest run as one call.  If that call fails they run again one row a call: a
+    failed row keeps its key columns and the values computed before the failure.
+    """
+    rows = [{**key, "error": None} for key in keys]
+    ready = [i for i, key in enumerate(keys) if _attempt(rows[i], _preflight, config, key)]
+    run, batch = EXPERIMENTS[config.experiment].row, [rows[i] for i in ready]
+    if batch and not _attempt(batch[0], run, config, batch) and len(batch) > 1:
+        for i in ready:
+            rows[i] = {**keys[i], "error": None}
+            _attempt(rows[i], run, config, [rows[i]])
     return rows
 
 
@@ -690,7 +702,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:

@@ -68,10 +68,6 @@ class MixedTarget:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
 
-    @classmethod
-    def pure(cls, state: NumberState) -> "MixedTarget":
-        return cls((state,), (1.0,))
-
     @property
     def rank(self) -> int:
         return len(self.components)

@@ -62,11 +62,6 @@ class NumberState:
     def variance(self) -> float:
         return moments(self.spectrum)[1]
 
-    @property
-    def asymmetry_free(self) -> bool:
-        """True when the spectrum is a point mass, i.e. carries no phase information."""
-        return len(self.spectrum) == 1
-
 
 @dataclass(frozen=True)
 class PosteriorSpec:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SUM_TOL = 1e-12
-_NORM_TOL = 1e-12
-# entries (rows x d) per `_deviation_laws` call over a grid; a call holds ~5 such arrays
+# entries (rows x d) per `deviation_laws` call over a grid; a call holds ~5 such arrays
 _LAW_BLOCK = 1 << 20
 
 
@@ -43,44 +42,6 @@ class CyclicCoeffs:
         return self.probs.size
 
 
-@dataclass(frozen=True)
-class CyclicState:
-    """l2-normalized amplitude vector over Z_d; group element m acts as omega^(n m)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128).copy()
-        if a.ndim != 1 or a.size < 2:
-            raise ValueError(f"need a 1-D amplitude vector with d >= 2, got shape {a.shape}")
-        norm = float(np.linalg.norm(a))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"amplitudes have norm {norm!r}, expected 1")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def d(self) -> int:
-        return self.amplitudes.size
-
-    @classmethod
-    def eta(cls, d: int, m: int) -> "CyclicState":
-        """Fourier-basis state eta_m = d^(-1/2) sum_n omega^(n m) |n>."""
-        n = np.arange(d)
-        return cls(np.exp(2j * math.pi * n * (m % d) / d) / math.sqrt(d))
-
-
-def representative_state(coeffs: CyclicCoeffs) -> CyclicState:
-    """Canonical-form state with amplitudes sqrt(c_n)."""
-    return CyclicState(np.sqrt(coeffs.probs))
-
-
-def phase_shifted(state: CyclicState, m: int) -> CyclicState:
-    """Apply the group element m: amplitude at n picks up omega^(n m)."""
-    n = np.arange(state.d)
-    return CyclicState(state.amplitudes * np.exp(2j * math.pi * n * m / state.d))
-
-
 def contraction_rate(source: CyclicCoeffs) -> float:
     """Per-copy rate epsilon = max over k != 0 of |DFT(p)_k|, in [0, 1].
 
@@ -93,28 +54,7 @@ def contraction_rate(source: CyclicCoeffs) -> float:
     return float(min(mags[1:].max(), 1.0))
 
 
-def canonical_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
-    """N-fold cyclic convolution power, via the DFT.
-
-    c_j is the probability that the sum of N independent draws lands in
-    residue class j.  Round-off can leave tiny negatives or drift the total;
-    both are repaired (clamp, renormalize) since the drift is at machine scale
-    for any sane d.
-    """
-    if n_copies < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    c = np.fft.ifft(np.fft.fft(source.probs) ** n_copies).real
-    np.clip(c, 0.0, None, out=c)
-    return CyclicCoeffs(c / c.sum())
-
-
-def measure_eta_basis(state: CyclicState) -> np.ndarray:
-    """Outcome distribution of the eta-basis measurement: |<eta_m|psi>|^2 = |DFT(a)_m|^2 / d."""
-    amps = np.fft.fft(state.amplitudes)
-    return (amps.real**2 + amps.imag**2) / state.d
-
-
-def _deviation_laws(source: CyclicCoeffs, n_grid) -> np.ndarray:
+def deviation_laws(source: CyclicCoeffs, n_grid) -> np.ndarray:
     """Pr(deviation r = (true - guess) mod d) of the N-copy protocol, one row per N.
 
     With e the inverse DFT of phi^N with its DC mode zeroed (e = c - 1/d) and
@@ -126,10 +66,10 @@ def _deviation_laws(source: CyclicCoeffs, n_grid) -> np.ndarray:
     for n in n_grid:
         if n < 1:
             raise ValueError(f"n_copies must be >= 1, got {n}")
+    phi = np.fft.fft(source.probs)
+    phi[0] = 0.0  # before the power: a DC entry that rounds above 1 overflows at large N
     # float exponents: an N beyond int64 would make an object array
-    powered = np.fft.fft(source.probs) ** np.array([float(n) for n in n_grid])[:, None]
-    powered[:, 0] = 0.0
-    d, e = source.d, np.fft.ifft(powered).real
+    d, e = source.d, np.fft.ifft(phi ** np.array([float(n) for n in n_grid])[:, None]).real
     g = e / (np.sqrt(np.maximum(1.0 / d + e, 0.0)) + 1.0 / math.sqrt(d))
     amps = np.fft.fft(g)
     laws = (amps.real**2 + amps.imag**2) / d
@@ -137,25 +77,14 @@ def _deviation_laws(source: CyclicCoeffs, n_grid) -> np.ndarray:
     return laws
 
 
-def _block_rows(source: CyclicCoeffs) -> int:
-    return max(1, _LAW_BLOCK // source.d)  # grid points a call: memory does not grow with the grid
-
-
-def outcome_distribution(source: CyclicCoeffs, n_copies: int, m_true: int = 0) -> np.ndarray:
-    """Pr(guess m1 | true shift m_true) for the N-copy protocol, as a length-d vector.
-
-    Equals (1/d) |sum_j omega^((m_true - m1) j) sqrt(c_j)|^2 with c the
-    canonical N-copy coefficients; the 1/d prefactor is fixed by completeness
-    of the eta-basis measurement.  Covariance makes it depend on m_true and
-    m1 only through the deviation, symmetric under r -> d - r.
-    """
-    law = _deviation_laws(source, [n_copies])[0]
-    return law[(m_true - np.arange(source.d)) % source.d]
+def block_rows(source: CyclicCoeffs) -> int:
+    """Grid points per `deviation_laws` call, so that memory does not grow with the grid."""
+    return max(1, _LAW_BLOCK // source.d)
 
 
 def success_probability(source: CyclicCoeffs, n_copies: int) -> float:
     """Pr(m|m) for the N-copy protocol: (sum_n sqrt(c_n))^2 / d, independent of m."""
-    return float(_deviation_laws(source, [n_copies])[0, 0])
+    return float(deviation_laws(source, [n_copies])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -172,19 +101,19 @@ def success_slope_fit(source: CyclicCoeffs, n_grid) -> SlopeFit:
     """Fit the geometric convergence rate of the failure probability.
 
     The wrong-guess mass is the sum of the nonzero deviations of
-    `_deviation_laws`, which keeps its digits below round-off.  The intercept
+    `deviation_laws`, which keeps its digits below round-off.  The intercept
     is the measured prefactor the asymptotic bound leaves unstated.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("need at least two N values to fit a slope")
-    rows = _block_rows(source)
-    laws = (_deviation_laws(source, n_grid[i: i + rows]) for i in range(0, len(n_grid), rows))
+    rows = block_rows(source)
+    laws = (deviation_laws(source, n_grid[i: i + rows]) for i in range(0, len(n_grid), rows))
     wrong = np.concatenate([law[:, 1:].sum(axis=1) for law in laws])
-    return _slope_fit(n_grid, wrong, contraction_rate(source))
+    return slope_fit(n_grid, wrong, contraction_rate(source))
 
 
-def _slope_fit(n_grid, wrong, epsilon: float) -> SlopeFit:
+def slope_fit(n_grid, wrong, epsilon: float) -> SlopeFit:
     """Least-squares line through (N, ln wrong) for the wrong-outcome masses of ``n_grid``."""
     if np.min(wrong) <= 0.0:
         raise ValueError("wrong-outcome mass vanished on the grid; nothing to fit")

@@ -22,6 +22,7 @@ from phaseconv import (
 )
 from phaseconv.distributions import TRIM_THRESHOLD, amp_char_fn, power_convolve
 from phaseconv.u1 import TWO_PI
+from phaseconv.zd import deviation_laws
 
 
 @pytest.fixture
@@ -158,6 +159,80 @@ def brute_force_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
                 nxt += cur[i] * np.roll(source.probs, i)
         cur = nxt
     return CyclicCoeffs(cur / cur.sum())
+
+
+def canonical_coeffs(source: CyclicCoeffs, n_copies: int) -> CyclicCoeffs:
+    """Oracle: the N-fold cyclic convolution power, flat through the DFT.
+
+    Round-off can leave tiny negatives or drift the total; both are repaired
+    (clamp, renormalize).  The library never forms c: `deviation_laws` works
+    from phi^N with its DC mode zeroed.
+    """
+    if n_copies < 1:
+        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
+    c = np.fft.ifft(np.fft.fft(source.probs) ** n_copies).real
+    np.clip(c, 0.0, None, out=c)
+    return CyclicCoeffs(c / c.sum())
+
+
+class CyclicState:
+    """Oracle state model: an l2-normalized amplitude vector over Z_d; group element m acts as omega^(n m)."""
+
+    def __init__(self, amplitudes):
+        a = np.array(amplitudes, dtype=np.complex128)
+        if a.ndim != 1 or a.size < 2:
+            raise ValueError(f"need a 1-D amplitude vector with d >= 2, got shape {a.shape}")
+        norm = float(np.linalg.norm(a))
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"amplitudes have norm {norm!r}, expected 1")
+        self.amplitudes = a
+
+    @property
+    def d(self) -> int:
+        return self.amplitudes.size
+
+    @classmethod
+    def eta(cls, d: int, m: int) -> "CyclicState":
+        """Fourier-basis state eta_m = d^(-1/2) sum_n omega^(n m) |n>."""
+        n = np.arange(d)
+        return cls(np.exp(2j * math.pi * n * (m % d) / d) / math.sqrt(d))
+
+
+def representative_state(coeffs: CyclicCoeffs) -> CyclicState:
+    """Canonical-form state with amplitudes sqrt(c_n)."""
+    return CyclicState(np.sqrt(coeffs.probs))
+
+
+def phase_shifted(state: CyclicState, m: int) -> CyclicState:
+    """Apply the group element m: amplitude at n picks up omega^(n m)."""
+    n = np.arange(state.d)
+    return CyclicState(state.amplitudes * np.exp(2j * math.pi * n * m / state.d))
+
+
+def measure_eta_basis(state: CyclicState) -> np.ndarray:
+    """Outcome distribution of the eta-basis measurement: |<eta_m|psi>|^2 = |DFT(a)_m|^2 / d."""
+    amps = np.fft.fft(state.amplitudes)
+    return (amps.real**2 + amps.imag**2) / state.d
+
+
+def outcome_distribution(source: CyclicCoeffs, n_copies: int, m_true: int = 0) -> np.ndarray:
+    """Pr(guess m1 | true shift m_true) of the N-copy protocol: the library's law, rolled.
+
+    Covariance makes it depend on m_true and m1 only through the deviation
+    (m_true - m1) mod d, the column of a `deviation_laws` row.
+    """
+    law = deviation_laws(source, [n_copies])[0]
+    return law[(m_true - np.arange(source.d)) % source.d]
+
+
+def asymmetry_free(state: NumberState) -> bool:
+    """True when the spectrum is a point mass, i.e. carries no phase information."""
+    return len(state.spectrum) == 1
+
+
+def pure_target(state: NumberState) -> MixedTarget:
+    """The rank-1 mixture of one pure state."""
+    return MixedTarget((state,), (1.0,))
 
 
 def uhlmann_fidelity(rho, sigma) -> float:

@@ -15,26 +15,30 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CyclicState,
     binomial_pmf,
     brute_force_coeffs,
     direct_power,
     exact_power,
     figure_of_merit_quadrature,
+    measure_eta_basis,
+    phase_shifted,
     posterior_density_exact,
+    pure_target,
     random_density,
     random_mixture,
     random_state,
+    representative_state,
     uhlmann_fidelity,
 )
 from phaseconv import (
     CyclicCoeffs,
-    CyclicState,
     IntDistribution,
     MixedTarget,
     NumberState,
     PosteriorSpec,
     RateSchedule,
-    canonical_coeffs,
+    deviation_laws,
     epsilon_schedule,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
@@ -43,7 +47,6 @@ from phaseconv import (
     figure_of_merit_exact,
     figure_of_merit_mc,
     figure_of_merit_mixed_bound,
-    measure_eta_basis,
     posterior_gauss_distance,
     success_slope_fit,
     typical_decomposition,
@@ -148,6 +151,8 @@ def test_c5_zd_geometric_rate():
 
 
 def test_c6_canonical_matches_enumeration():
+    # the library's deviation law against the eta-basis measurement of the
+    # canonical state, built from the enumerated coefficients and shifted by each true m
     rng = np.random.default_rng(2718)
     worst = 0.0
     for d in (2, 3, 4, 5):
@@ -155,12 +160,15 @@ def test_c6_canonical_matches_enumeration():
             for _ in range(50):
                 p = rng.uniform(0.02, 1.0, d)
                 coeffs = CyclicCoeffs(p / p.sum())
-                diff = np.abs(
-                    canonical_coeffs(coeffs, n).probs - brute_force_coeffs(coeffs, n).probs
-                ).max()
-                worst = max(worst, diff)
+                law = deviation_laws(coeffs, [n])[0]
+                state = representative_state(brute_force_coeffs(coeffs, n))
+                for m in range(d):
+                    guesses = measure_eta_basis(phase_shifted(state, m))
+                    worst = max(worst, np.abs(guesses - law[(m - np.arange(d)) % d]).max())
     ok = worst <= 1e-12
-    assert report("C6", ok, f"max |canonical - brute force| = {worst:.3e} over 4x8x50 instances")
+    assert report(
+        "C6", ok, f"max |deviation law - enumerated state model| = {worst:.3e} over 4x8x50 instances"
+    )
 
 
 def test_c7_typical_set_residuals():
@@ -311,7 +319,7 @@ def test_c12_rank1_mixed_bound_ties_exact_figure_of_merit():
         for target_name, target in states.items():
             for n, m in ((100, 16), (1000, 64), (4000, 300)):
                 spec = PosteriorSpec.for_copies(source, n)
-                dec = typical_decomposition(MixedTarget.pure(target), m)
+                dec = typical_decomposition(pure_target(target), m)
                 bound = figure_of_merit_mixed_bound(spec, dec, method="exact")
                 exact = figure_of_merit_exact(spec, target, m)
                 rel = abs(bound - exact) / exact
@@ -403,7 +411,7 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
     for m in (4096, 2**20):
         angles = np.concatenate([midpoints, midpoints / math.sqrt(m)])  # the second set spans the peak
         for state in (uniform, random7):
-            ref = _longdouble_floor(MixedTarget.pure(state), np.array([[m]]), angles)
+            ref = _longdouble_floor(pure_target(state), np.array([[m]]), angles)
             kept = ref > 1e-10
             bulk = max(bulk, _relative(fidelity_pure_exact(state, m, angles)[kept], ref[kept]))
             bulk_points += int(kept.sum())
@@ -423,7 +431,7 @@ def test_c14_exact_floor_at_large_m_against_extended_precision():
         ref = _longdouble_floor(target, _slice_ends(dec.counts), inside) * (1 - np.longdouble(dec.residual_mass))
         near = max(near, _relative(got, ref))
         for state in target.components:
-            ref = _longdouble_floor(MixedTarget.pure(state), np.array([[m]]), inside)
+            ref = _longdouble_floor(pure_target(state), np.array([[m]]), inside)
             near = max(near, _relative(fidelity_pure_exact(state, m, inside), ref))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and worst_abs <= 1e-14 and zeros_ok and elapsed < 60.0

@@ -475,6 +475,26 @@ class TestMain:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["u1-fom", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_config_that_is_not_utf8_is_a_read_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"n_grid": [\xff]}')
+        assert main(["zd", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot read config: 'utf-8' codec can't decode byte 0xff in position 12: "
+            "invalid start byte\n"
+        )
+
+    def test_json_nested_too_deep_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["zd", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config: invalid JSON (maximum recursion depth")
+        assert len(captured.err.splitlines()) == 1
+
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         config = self.write(tmp_path, FOM_CONFIG)
         for argv in (

@@ -72,10 +72,10 @@ def test_oracle_builds_one_decomposition_per_m(monkeypatch):
 
 def test_zd_takes_its_laws_once_per_block_and_none_in_the_metadata(monkeypatch):
     monkeypatch.setattr(zd, "_LAW_BLOCK", 30)  # 10 rows of d = 3 a block
-    laws = counting(monkeypatch, cli, "_deviation_laws", key=lambda source, n_grid: list(n_grid))
+    laws = counting(monkeypatch, cli, "deviation_laws", key=lambda source, n_grid: list(n_grid))
     rates = counting(monkeypatch, cli, "contraction_rate")
     # the library's own laws and rate, which a slope fit computed anew would call
-    fits = counting(monkeypatch, zd, "_deviation_laws") + counting(monkeypatch, zd, "contraction_rate")
+    fits = counting(monkeypatch, zd, "deviation_laws") + counting(monkeypatch, zd, "contraction_rate")
     config = parse_config(json.dumps({"probs": [0.7, 0.2, 0.1], "n_grid": list(range(1, 26))}), "zd")
     result = run_sweep(config)
     assert "slope" in result.metadata["slope_fit"]

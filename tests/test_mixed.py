@@ -9,6 +9,7 @@ from conftest import (
     direct_power,
     embedded_density,
     kron_mixed_fidelity,
+    pure_target,
     random_density,
     random_mixture,
     random_state,
@@ -53,7 +54,7 @@ class TestMixedTarget:
             MixedTarget((), ())
 
     def test_pure_wrapper(self):
-        t = MixedTarget.pure(FAIR0)
+        t = pure_target(FAIR0)
         assert t.rank == 1 and t.weights == (1.0,)
 
     def test_component_variances(self):
@@ -82,7 +83,7 @@ class TestEpsilonSchedule:
 
 class TestTypicalDecomposition:
     def test_pure_target_single_class(self):
-        dec = typical_decomposition(MixedTarget.pure(FAIR0), 12)
+        dec = typical_decomposition(pure_target(FAIR0), 12)
         assert dec.n_classes == 1
         assert dec.counts.tolist() == [[12]]
         assert dec.weights[0] == pytest.approx(1.0, abs=1e-12)
@@ -340,7 +341,7 @@ class TestMixedLowerBound:
 
     def test_pure_target_matches_gauss_fidelity(self):
         grid = np.linspace(-0.5, 0.5, 9)
-        dec = typical_decomposition(MixedTarget.pure(FAIR0), 32)
+        dec = typical_decomposition(pure_target(FAIR0), 32)
         bound = fidelity_mixed_lower_bound(dec, grid, method="gauss")
         np.testing.assert_allclose(bound, fidelity_pure_gauss(0.25, 32, grid), atol=1e-12)
 
@@ -370,7 +371,7 @@ class TestMixedLowerBound:
 class TestMixedFigureOfMerit:
     def test_pure_target_tracks_exact(self):
         spec = PosteriorSpec.for_copies(FAIR0, 1600)
-        dec = typical_decomposition(MixedTarget.pure(FAIR0), 40)
+        dec = typical_decomposition(pure_target(FAIR0), 40)
         bound = figure_of_merit_mixed_bound(spec, dec, method="gauss")
         assert bound == pytest.approx(figure_of_merit_exact(spec, FAIR0, 40), abs=0.02)
 
@@ -502,7 +503,7 @@ class TestExactEmbedding:
             state = random_state(rng, max_offset=50)
             for m in (1, 2, 64, 4096):
                 for gamma in (0.001, 0.05, 0.7, 3.0):
-                    exact = exact_mixed_fidelity_small(MixedTarget.pure(state), m, gamma)
+                    exact = exact_mixed_fidelity_small(pure_target(state), m, gamma)
                     assert exact == pytest.approx(
                         fidelity_pure_exact(state, m, gamma), rel=1e-11, abs=1e-300
                     )

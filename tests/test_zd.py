@@ -1,26 +1,24 @@
 import json
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_coeffs
-from phaseconv import zd
-from phaseconv.cli import main
-from phaseconv.zd import (
-    CyclicCoeffs,
+from conftest import (
     CyclicState,
+    brute_force_coeffs,
     canonical_coeffs,
-    contraction_rate,
     measure_eta_basis,
     outcome_distribution,
     phase_shifted,
     representative_state,
-    success_probability,
-    success_slope_fit,
 )
+from phaseconv import cli, zd
+from phaseconv.cli import main
+from phaseconv.zd import CyclicCoeffs, contraction_rate, success_probability, success_slope_fit
 
 BIASED = CyclicCoeffs(np.array([0.9, 0.1]))
 
@@ -206,6 +204,15 @@ class TestOutcomeDistribution:
             got = outcome_distribution(source, n)[1:].sum()
             assert abs(got - want) <= 1e-11 * want, (n, got, want)
 
+    def test_dc_entry_above_one_does_not_overflow(self):
+        # fft(p)[0] rounds to 1 + 6.7e-16 here, which overflows if raised to N = 10^20
+        probs = np.random.default_rng(1).dirichlet(np.ones(257))
+        assert np.fft.fft(probs)[0].real > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = zd.deviation_laws(CyclicCoeffs(probs), [10**20])[0]
+        assert law[0] == 1.0 and not law[1:].any()
+
     @pytest.mark.parametrize("law", [outcome_distribution, success_probability])
     def test_copy_count_validation(self, law):
         with pytest.raises(ValueError, match="^n_copies must be >= 1, got 0$"):
@@ -282,13 +289,13 @@ class TestSlopeFit:
         n_grid = list(range(1, 41))
         whole = success_slope_fit(source, n_grid)
         calls = []
-        laws = zd._deviation_laws
+        laws = zd.deviation_laws
 
         def recording(source, n_grid):
             calls.append(len(n_grid) * source.d)
             return laws(source, n_grid)
 
-        monkeypatch.setattr(zd, "_deviation_laws", recording)
+        monkeypatch.setattr(zd, "deviation_laws", recording)
         monkeypatch.setattr(zd, "_LAW_BLOCK", rows * d + d - 1)
         assert success_slope_fit(source, n_grid) == whole
         assert len(calls) == -(-len(n_grid) // rows)
@@ -331,7 +338,7 @@ def wrong_mass_oracle(probs, n: int) -> Decimal:
         return 1 - roots * roots / (d * Decimal(total.numerator) / Decimal(total.denominator))
 
 
-def test_cli_rows_at_copy_numbers_beyond_int64(tmp_path, capsys):
+def test_cli_rows_at_copy_numbers_beyond_int64(tmp_path, capsys, monkeypatch):
     # N = 10^20 is a float exponent; 10^400 fails its row, not the sweep
     config = tmp_path / "zd.json"
     config.write_text(json.dumps({"probs": [0.7, 0.2, 0.1], "n_grid": [2, 10**20]}))
@@ -346,9 +353,13 @@ def test_cli_rows_at_copy_numbers_beyond_int64(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1] == f"3,{10**400},,,int too large to convert to float"
     assert captured.err == "row error: int too large to convert to float\n"
-    # the failing row shares its batch with two rows that pass: only it fails
+    # the failing row shares its batch with two rows that pass: the pre-flight refuses
+    # it alone, and the two others take one law call
+    calls, laws = [], cli.deviation_laws
+    monkeypatch.setattr(cli, "deviation_laws", lambda source, n_grid: calls.append(n_grid) or laws(source, n_grid))
     config.write_text(json.dumps({"probs": [0.7, 0.2, 0.1], "n_grid": [2, 5, 10**400]}))
     assert main(["zd", "--config", str(config), "--jobs", "1"]) == 2
+    assert calls == [[2, 5]]
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1:] == [
         "3,2,0.952925342056,0.556776436283,",
