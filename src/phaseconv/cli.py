@@ -10,7 +10,7 @@ every problem at once.  Rows that share a costly input (one M of a
 `mixed-oracle` grid, a block of a `zd` grid) form a batch that builds it once.
 Failures land in an ``error`` column instead of aborting the run; a failed
 batch runs again row by row.  A row one of whose `Experiment.sizes` exceeds
-the cap is refused before it runs, and their sum is its estimated work.  A
+`SIZE_CAP` is refused before it runs, and their sum is its estimated work.  A
 sweep whose work reaches `POOL_POINTS` runs in at most ``--jobs`` workers, one
 per CPU at most, others in-process; the output depends on neither.
 
@@ -40,8 +40,8 @@ from . import __version__
 from .distributions import IntDistribution, power_support_bound
 from .errors import ConfigValidationError, PhaseconvError, ResourceCapError
 from .mixed import (
-    DEFAULT_CLASS_CAP,
     MixedTarget,
+    default_grid_points,
     exact_mixed_fidelity_small,
     fidelity_mixed_lower_bound,
     figure_of_merit_mixed_bound,
@@ -64,9 +64,8 @@ from .zd import CyclicCoeffs, block_rows, contraction_rate, deviation_laws, slop
 
 SCHEMA_VERSION = 1
 DEFAULT_MC_DRAWS = 4096
-# Guard against rows whose arrays (`Experiment.sizes`) would not fit a sane FFT;
-# u1-fom and u1-rates may lower it, nothing at desk scale should need to raise it.
-DEFAULT_FFT_CAP = 1 << 23
+# Guard against rows whose arrays (`Experiment.sizes`) would not fit a sane FFT
+SIZE_CAP = 1 << 23
 _METHODS = ("exact", "closed", "mc")
 _RATES_METHODS = ("exact", "closed")  # the legs of a u1-rates row, which has no `methods` key
 
@@ -282,10 +281,8 @@ def _fom_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], ...]:
 def _posterior_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], ...]:
     """The N-copy source support bound and the posterior grid (mixed-bound's default if None)."""
     support = power_support_bound(config.source.spectrum, row["N"])
-    return (
-        ("support estimate", support),
-        ("posterior grid", config.grid_points or max(4097, 2 * support + 3)),
-    )
+    grid = config.grid_points or default_grid_points(support)
+    return (("support estimate", support), ("posterior grid", grid))
 
 
 def _fom_rows(config: SweepConfig, rows: list[dict]) -> None:
@@ -324,7 +321,7 @@ def _zd_rows(config: SweepConfig, rows: list[dict]) -> None:
 def _bound_rows(config: SweepConfig, rows: list[dict]) -> None:
     for row in rows:
         # the classes first: a class-cap refusal costs no N-copy power
-        dec = typical_decomposition(config.target, row["M"], config.epsilon, class_cap=config.class_cap)
+        dec = typical_decomposition(config.target, row["M"], config.epsilon)
         spec = PosteriorSpec.for_copies(config.source, row["N"])
         row["f_bound"] = figure_of_merit_mixed_bound(
             spec, dec, method=config.bound_method, grid_points=config.grid_points
@@ -384,9 +381,9 @@ class Experiment:
     the validated value, or None on failure.  ``row_keys`` gives each row's
     key columns in grid order, and ``row`` fills in up to ``batch`` consecutive
     rows a call, through this module's globals so that the library can be
-    traced or patched here.  ``metadata`` summarizes the rows for the JSON output.
+    traced or patched here.  ``metadata`` gives the experiment's own JSON metadata.
     ``sizes`` gives (what, length) for each array a row will allocate, from
-    its inputs alone: `_preflight` refuses a row with one above the cap, and
+    its inputs alone: `_preflight` refuses a row with one above `SIZE_CAP`, and
     their sum is its work in points, the unit of `POOL_POINTS`.  Rows without
     sizes count no work: a worker pool does not pay for them.
     """
@@ -400,17 +397,14 @@ class Experiment:
     batch: Callable[[SweepConfig], int] = lambda config: 1
 
 
-_POSITIVE_INT = _check(lambda v: _is_int(v) and v >= 1, "a positive integer")
 _GRID_POINTS = _check(lambda v: _is_int(v) and v >= 16, "an integer >= 16")
 _EPSILON = _check(lambda v: _is_num(v) and 0 < v <= 2, "a number in (0, 2]", float)
 _BOUND_METHOD = _check(lambda v: v in ("gauss", "exact"), "'gauss' or 'exact'")
-_SEED = ("seed", _check(lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)"), 0)
 _SOURCE = ("source", _take_spectrum, _REQUIRED)
 _TARGET = ("target", _take_spectrum, _REQUIRED)
 _MIXTURE = ("target", _take_mixture, _REQUIRED)
 _N_GRID = ("n_grid", _take_int_grid, _REQUIRED)
 _M_SCHEDULE = ("m_schedule", _take_m_schedule, _REQUIRED)
-_FFT_CAP = ("fft_cap", _POSITIVE_INT, DEFAULT_FFT_CAP)
 _FOM_HEADER = ("N", "M", "f_exact", "f_closed", "gap")
 
 EXPERIMENTS = {
@@ -426,9 +420,10 @@ EXPERIMENTS = {
             ), ("exact", "closed")),
             ("mc_draws", _check(lambda v: _is_int(v) and v >= 100, "an integer >= 100"),
              DEFAULT_MC_DRAWS),
-            _FFT_CAP,
+            ("seed", _check(lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)"), 0),
         ),
         header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_rows, sizes=_fom_sizes,
+        metadata=lambda config, rows: {"seed": config.seed},
     ),
     "u1-posterior": Experiment(
         keys=(_SOURCE, _N_GRID, ("grid_points", _GRID_POINTS, 8192)),
@@ -441,7 +436,6 @@ EXPERIMENTS = {
             _SOURCE, _TARGET, _N_GRID, _M_SCHEDULE,
             ("threshold", _check(lambda v: _is_num(v) and 0 < v < 1, "a number in (0, 1)", float),
              CONVERGENCE_THRESHOLD),
-            _FFT_CAP,
         ),
         header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_rows, metadata=_rates_metadata,
         sizes=_fom_sizes,
@@ -454,11 +448,10 @@ EXPERIMENTS = {
         # no sizes, so no work: a grid of under 2^20 / d points is one batch, which no pool splits
     ),
     "mixed-bound": Experiment(
-        # None defers to the library: epsilon ((ln M)/M)^(1/4), grid_points max(4097, 2*span+3)
+        # None defers to the library: epsilon ((ln M)/M)^(1/4), grid_points `default_grid_points`
         keys=(
             _SOURCE, _MIXTURE, _N_GRID, _M_SCHEDULE, ("epsilon", _EPSILON, None),
             ("bound_method", _BOUND_METHOD, "gauss"), ("grid_points", _GRID_POINTS, None),
-            ("class_cap", _POSITIVE_INT, DEFAULT_CLASS_CAP),
         ),
         header=("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
         row_keys=_n_m_keys, row=_bound_rows, sizes=_posterior_sizes,
@@ -498,7 +491,7 @@ def parse_config(text: str, experiment: str) -> SweepConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError(["config: top level must be a JSON object"])
 
-    keys = (_SEED, *EXPERIMENTS[experiment].keys)
+    keys = EXPERIMENTS[experiment].keys
     problems = [
         f"{key}: unknown key for experiment '{experiment}'"
         for key in sorted(set(raw) - {name for name, _, _ in keys})
@@ -529,19 +522,16 @@ def result_header(experiment: str, methods: tuple[str, ...] = ()) -> tuple[str, 
 def _preflight(config: SweepConfig, row: dict) -> int:
     """A row's estimated work, the sum of its experiment's `sizes`.
 
-    Raises `ResourceCapError` if the largest size exceeds the cap: the
-    config's ``fft_cap``, or `DEFAULT_FFT_CAP` for an experiment without one.
+    Raises `ResourceCapError` if the largest size exceeds `SIZE_CAP`.
     Raises `OverflowError` for a key beyond float range, which no row can compute.
     """
     for value in row.values():
         float(value)
     sizes = EXPERIMENTS[config.experiment].sizes(config, row)
     what, worst = max(sizes, key=lambda size: size[1], default=("", 0))
-    cap = getattr(config, "fft_cap", DEFAULT_FFT_CAP)
-    if worst > cap:
-        name = "fft_cap" if hasattr(config, "fft_cap") else "size cap"
+    if worst > SIZE_CAP:
         at = ", ".join(f"{key}={value}" for key, value in row.items())
-        raise ResourceCapError(f"{what} {worst} exceeds {name} {cap} at {at}")
+        raise ResourceCapError(f"{what} {worst} exceeds size cap {SIZE_CAP} at {at}")
     return sum(size for _, size in sizes)
 
 
@@ -612,7 +602,6 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
     result.metadata.update(
         {
             "experiment": config.experiment,
-            "seed": config.seed,
             "schema_version": SCHEMA_VERSION,
             "versions": {
                 "phaseconv": __version__,

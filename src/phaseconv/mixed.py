@@ -236,6 +236,11 @@ def fidelity_mixed_lower_bound(decomposition: TypicalDecomposition, gamma, *, me
     return float(out) if np.ndim(out) == 0 else out
 
 
+def default_grid_points(span: int) -> int:
+    """Posterior grid points for an N-copy spectrum ``span`` wide: its bandwidth with margin."""
+    return max(4097, 2 * span + 3)
+
+
 def figure_of_merit_mixed_bound(
     posterior: PosteriorSpec,
     decomposition: TypicalDecomposition,
@@ -246,10 +251,9 @@ def figure_of_merit_mixed_bound(
     """Average `fidelity_mixed_lower_bound` over the exact N-copy misalignment posterior.
 
     The integrand's bound factor is a min over class fidelities, hence only
-    piecewise smooth; the midpoint rule on a dense uniform grid is used
-    (default covers the posterior's bandwidth with margin).
+    piecewise smooth: the midpoint rule on `default_grid_points` by default.
     """
-    points = grid_points or max(4097, 2 * posterior.ncopy_spectrum.span + 3)
+    points = grid_points or default_grid_points(posterior.ncopy_spectrum.span)
     gamma = -math.pi + TWO_PI * (np.arange(points) + 0.5) / points
     bound = fidelity_mixed_lower_bound(decomposition, gamma, method=method)
     density = posterior_density_grid(posterior, points, midpoint=True)

@@ -2,6 +2,10 @@ import csv
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,10 @@ FOM_CONFIG = {
     "m_schedule": {"a": 0.5},
     "seed": 11,
 }
+# u1-rates takes FOM_CONFIG's keys but the seed, which only u1-fom's Monte Carlo leg reads
+RATES_CONFIG = {key: value for key, value in FOM_CONFIG.items() if key != "seed"}
+# N = 10^14 needs a 2^27-point autocorrelation transform for any M, above the 2^23 size cap
+HUGE_N = 10**14
 
 MIXED_TARGET = {
     "components": [
@@ -244,12 +252,12 @@ class TestRunSweep:
 
     def test_rows_refused_or_beyond_float_range_count_no_work(self, monkeypatch, two_cpus, no_pool):
         fom = cli.EXPERIMENTS["u1-fom"]
-        capped = cfg("u1-fom", {**FOM_CONFIG, "fft_cap": 100})
-        fits, refused = {"N": 50, "M": 8}, {"N": 200, "M": 15}
-        assert max(size for _, size in fom.sizes(capped, fits)) <= 100
-        assert cli._row_work(capped, fits) == sum(size for _, size in fom.sizes(capped, fits)) > 0
-        assert max(size for _, size in fom.sizes(capped, refused)) > 100
-        assert cli._row_work(capped, refused) == 0
+        config = cfg("u1-fom", FOM_CONFIG)
+        fits, refused = {"N": 50, "M": 8}, {"N": HUGE_N, "M": 10**7}
+        assert max(size for _, size in fom.sizes(config, fits)) <= cli.SIZE_CAP
+        assert cli._row_work(config, fits) == sum(size for _, size in fom.sizes(config, fits)) > 0
+        assert max(size for _, size in fom.sizes(config, refused)) > cli.SIZE_CAP
+        assert cli._row_work(config, refused) == 0
         monkeypatch.setattr(cli, "POOL_POINTS", 1)
         huge = {**FOM_CONFIG, "n_grid": [10**400, 10**401], "m_schedule": {"list": [5, 6]}}
         result = run_sweep(cfg("u1-fom", huge), jobs=2)
@@ -342,10 +350,10 @@ class TestRunSweep:
         assert exit_code_for(result.rows) == 2
 
     def test_resource_cap_flagged(self):
-        payload = {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 100}
+        payload = {**FOM_CONFIG, "n_grid": [50, HUGE_N]}
         result = run_sweep(cfg("u1-fom", payload))
         assert result.rows[0]["error"] is None
-        assert "fft_cap" in result.rows[1]["error"]
+        assert "size cap" in result.rows[1]["error"]
         assert exit_code_for(result.rows) == 3
 
 
@@ -517,7 +525,7 @@ class TestMain:
         ids=["huge-slope", "huge-n"],
     )
     def test_schedule_overflow_is_a_config_error(self, tmp_path, capsys, schedule, n_grid):
-        payload = {**FOM_CONFIG, "n_grid": n_grid, "m_schedule": schedule}
+        payload = {**RATES_CONFIG, "n_grid": n_grid, "m_schedule": schedule}
         assert main(["u1-rates", "--config", self.write(tmp_path, payload)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: m_schedule: ") and "overflows" in err
@@ -544,13 +552,16 @@ class TestMain:
     @pytest.mark.parametrize(
         "experiment, payload, code, message",
         [
-            ("u1-fom", {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 100}, 3,
-             "autocorrelation transform 256 exceeds fft_cap 100 at N=200, M=15"),
-            ("u1-rates", {**FOM_CONFIG, "n_grid": [400, 1600], "fft_cap": 256}, 3,
-             "autocorrelation transform 512 exceeds fft_cap 256 at N=1600, M=40"),
+            ("u1-fom", {**FOM_CONFIG, "n_grid": [50, HUGE_N]}, 3,
+             "autocorrelation transform 134217728 exceeds size cap 8388608 at N=100000000000000, "
+             "M=10000000"),
+            ("u1-rates", {**RATES_CONFIG, "n_grid": [400, HUGE_N]}, 3,
+             "autocorrelation transform 134217728 exceeds size cap 8388608 at N=100000000000000, "
+             "M=10000000"),
+            # epsilon 2 keeps every class: all M + 1 of them at rank 2
             ("mixed-bound", {"source": FAIR_SPECTRUM, "target": MIXED_TARGET, "n_grid": [64],
-                             "m_schedule": {"list": [8]}, "class_cap": 1}, 3,
-             "about 5 type classes at M=8, rank 2; cap is 1"),
+                             "m_schedule": {"list": [2_000_000]}, "epsilon": 2.0}, 3,
+             "about 2000001 type classes at M=2000000, rank 2; cap is 1000000"),
             ("mixed-oracle", {"target": MIXED_TARGET, "m_grid": [2_000_000], "gamma_grid": [0.001]},
              3, "about 2000001 type classes at M=2000000, rank 2; cap is 1000000"),
             ("u1-fom", {**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}, "n_grid": [50]}, 2,
@@ -581,16 +592,16 @@ class TestMain:
              # its default grid, 2 * 83942747 + 3 points, is its largest array
              "posterior grid 167885497 exceeds size cap 8388608 at N=100000000000000, M=8"),
             ("u1-fom", {**FOM_CONFIG, "n_grid": [16], "m_schedule": {"list": [4]},
-                        "methods": ["mc"], "mc_draws": 3000, "fft_cap": 5000},
-             "Monte Carlo term count 6000 exceeds fft_cap 5000 at N=16, M=4"),
+                        "methods": ["mc"], "mc_draws": 2**22 + 1},
+             "Monte Carlo term count 8388610 exceeds size cap 8388608 at N=16, M=4"),
             # a source bound of 2^23 - 1: the sampling grid takes four times that
             ("u1-fom", {**FOM_CONFIG, "n_grid": [998650091439], "m_schedule": {"list": [1]},
                         "methods": ["mc"]},
-             "Monte Carlo sampling grid 33554428 exceeds fft_cap 8388608 at N=998650091439, M=1"),
+             "Monte Carlo sampling grid 33554428 exceeds size cap 8388608 at N=998650091439, M=1"),
             # the same source and a 3-point target: 2^23 + 1 points need a 2^24 transform
             ("u1-fom", {**FOM_CONFIG, "n_grid": [998650091439], "m_schedule": {"list": [2]},
                         "methods": ["exact"]},
-             "autocorrelation transform 16777216 exceeds fft_cap 8388608 at N=998650091439, M=2"),
+             "autocorrelation transform 16777216 exceeds size cap 8388608 at N=998650091439, M=2"),
         ],
         ids=["u1-posterior-n", "u1-posterior-grid", "mixed-bound-n", "u1-fom-mc-draws",
              "u1-fom-mc-grid", "u1-fom-exact-transform"],
@@ -606,6 +617,35 @@ class TestMain:
             monkeypatch.setattr(module, name, allocate)
         assert main([experiment, "--config", self.write(tmp_path, payload), "--jobs", "1"]) == 3
         assert capsys.readouterr().err == f"row error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "experiment, payload, message",
+        [
+            ("u1-fom", {"source": FAIR_SPECTRUM, "target": FAIR_SPECTRUM, "n_grid": [HUGE_N],
+                        "m_schedule": {"list": [4]}, "methods": ["exact"]},
+             "autocorrelation transform 134217728 exceeds size cap 8388608 at N=100000000000000, M=4"),
+            ("mixed-bound",
+             {"source": FAIR_SPECTRUM, "n_grid": [64], "m_schedule": {"list": [4096]}, "epsilon": 2.0,
+              "target": {"components": [{"probs": [0.5, 0.5]}, {"probs": [0.2, 0.5, 0.3]},
+                                        {"probs": [0.1, 0.9]}, {"probs": [0.3, 0.7]}],
+                         "weights": [0.25] * 4}},
+             "about 8394753 type classes at M=4096, rank 4; cap is 1000000"),
+        ],
+        ids=["u1-fom-transform", "mixed-bound-classes"],
+    )
+    def test_cap_refuses_a_row_that_would_exhaust_memory(self, tmp_path, experiment, payload, message):
+        # past its cap, either row would build a 2^27-point transform or an 85.5 GiB class
+        # table; the child's 2 GB address space turns a cap that no longer fires into a
+        # MemoryError instead of exhausting the machine
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        args = [sys.executable, "-m", "phaseconv.cli", experiment,
+                "--config", self.write(tmp_path, payload)]
+        child = subprocess.run(args, capture_output=True, text=True, env=env, preexec_fn=limit,
+                               timeout=60)
+        assert (child.returncode, child.stderr) == (3, f"row error: {message}\n")
 
     def test_zd_slope_fit_error_in_metadata(self, tmp_path):
         # uniform probabilities reach the success probability 1 at once: no wrong mass to fit
@@ -623,7 +663,7 @@ class TestMain:
     def test_partial_failure_exit_codes(self, tmp_path, capsys):
         degenerate = {**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}}
         assert main(["u1-fom", "--config", self.write(tmp_path, degenerate)]) == 2
-        capped = {**FOM_CONFIG, "n_grid": [50, 200], "fft_cap": 100}
+        capped = {**FOM_CONFIG, "n_grid": [50, HUGE_N]}
         assert main(["u1-fom", "--config", self.write(tmp_path, capped)]) == 3
         # partial results still land on stdout alongside the failures
         out = capsys.readouterr().out
@@ -724,7 +764,7 @@ class TestMain:
     @pytest.mark.parametrize(
         "payload, code, pooled_error",
         [
-            ({**FOM_CONFIG, "n_grid": [50, 100, 200], "fft_cap": 100}, 3, "fft_cap"),
+            ({**FOM_CONFIG, "n_grid": [50, 100, HUGE_N]}, 3, "size cap"),
             ({**FOM_CONFIG, "source": {"probs": [1.0], "offset": 2}}, 2, "variance"),
         ],
         ids=["fft-cap", "failed-row"],
@@ -739,7 +779,7 @@ class TestMain:
             out = tmp_path / f"jobs{jobs}.csv"
             assert main(["u1-fom", "--config", config, "--out", str(out), "--jobs", jobs]) == code
             outputs.append((out.read_text(), capsys.readouterr().err))
-        assert pooled_n == [50, 100, 200]
+        assert pooled_n == payload["n_grid"]
         assert outputs[0] == outputs[1]
         csv_text, err = outputs[1]
         assert pooled_error in csv_text.splitlines()[-1]

@@ -86,12 +86,13 @@ class TestFailedRows:
         assert exit_code_for(result.rows) == 2
 
     def test_capped_row_keeps_key_columns(self):
-        payload = {**MINIMAL["u1-fom"], "n_grid": [50, 200], "fft_cap": 100}
+        # N = 10^14 needs a 2^27-point autocorrelation transform, above the size cap
+        payload = {**MINIMAL["u1-fom"], "n_grid": [50, 10**14]}
         result = run_sweep(parse_config(json.dumps(payload), "u1-fom"))
         capped = list(csv.reader(emit(result).splitlines()))[2]
-        assert capped[:2] == ["200", "15"]
+        assert capped[:2] == ["100000000000000", "10000000"]
         assert capped[2:5] == ["", "", ""]
-        assert "fft_cap" in capped[5]
+        assert "size cap" in capped[5]
         assert exit_code_for(result.rows) == 3
 
 
@@ -100,3 +101,65 @@ def test_unhashable_methods_entry_is_a_validation_problem():
     with pytest.raises(ConfigValidationError) as info:
         parse_config(json.dumps(payload), "u1-fom")
     assert info.value.problems == ["methods: expected a nonempty subset of ['exact', 'closed', 'mc']"]
+
+
+MC = {**MINIMAL["u1-fom"], "methods": ["mc"]}
+# each experiment's optional keys: a config and two values of the key whose outputs differ
+OPTIONAL_KEYS = {
+    "u1-fom": {
+        "methods": (MINIMAL["u1-fom"], ["exact"], ["closed"]),
+        "mc_draws": (MC, 100, 200),
+        "seed": (MC, 1, 2),
+    },
+    "u1-posterior": {"grid_points": (MINIMAL["u1-posterior"], 256, 512)},
+    # f_exact rises to 0.893: the verdict is "converges", then "plateaus"
+    "u1-rates": {"threshold": (MINIMAL["u1-rates"], 0.85, 0.95)},
+    "zd": {},
+    "mixed-bound": {
+        "epsilon": (MINIMAL["mixed-bound"], 0.5, 2.0),
+        "bound_method": (MINIMAL["mixed-bound"], "gauss", "exact"),
+        # 256 and 512 points agree to 12 digits on this smooth integrand; 16 alias it
+        "grid_points": (MINIMAL["mixed-bound"], 16, 256),
+    },
+    "mixed-oracle": {
+        "epsilon": (MINIMAL["mixed-oracle"], 1.0, 2.0),
+        "bound_method": (MINIMAL["mixed-oracle"], "gauss", "exact"),
+    },
+}
+
+
+def test_every_optional_key_is_listed():
+    assert {experiment: set(keys) for experiment, keys in OPTIONAL_KEYS.items()} == {
+        experiment: {name for name, _, default in table.keys if default is not cli._REQUIRED}
+        for experiment, table in cli.EXPERIMENTS.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "experiment, key", [(experiment, key) for experiment, keys in OPTIONAL_KEYS.items() for key in keys]
+)
+def test_every_optional_key_moves_an_output(experiment, key):
+    base, *values = OPTIONAL_KEYS[experiment][key]
+    outputs = []
+    for value in values:
+        result = run_sweep(parse_config(json.dumps({**base, key: value}), experiment))
+        assert exit_code_for(result.rows) == 0
+        doc = json.loads(emit(result, "json"))
+        del doc["metadata"]["wall_time_s"]
+        doc["metadata"].pop(key, None)  # the metadata's echo of the key moves nothing
+        outputs.append(doc)
+    assert outputs[0] != outputs[1]
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [("u1-fom", "fft_cap"), ("u1-rates", "fft_cap"), ("mixed-bound", "class_cap"),
+     *((experiment, "seed") for experiment in cli.EXPERIMENTS if experiment != "u1-fom")],
+)
+def test_no_key_lifts_a_cap_and_only_u1_fom_takes_a_seed(tmp_path, capsys, experiment, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MINIMAL[experiment], key: 10**12}))
+    assert cli.main([experiment, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {key}: unknown key for experiment '{experiment}'\n"

@@ -115,3 +115,15 @@ def test_the_wide_plan_is_wider_than_the_benchmark(tool):
     assert max(m for rank, m, _ in classes if rank == 4) == 64
     assert max(m for rank, m, count in classes if rank == 3 and count <= DEFAULT_CLASS_CAP) == 1024
     assert any(count > DEFAULT_CLASS_CAP for *_, count in classes)
+
+
+def test_a_line_lost_by_two_files_is_one_changed_line(tmp_path, tool):
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir()
+    after.mkdir()
+    for name, wall_time_s in (("a.json", 0.1), ("b.json", 0.2)):
+        (before / name).write_text(json_output(wall_time_s))
+        (after / name).write_text(json_output(0.3).replace('    "seed": 7,\n', ""))
+    names = tool.differing_files(before, after)
+    assert names == ["a.json", "b.json"]
+    assert tool.changed_lines(before, after, names) == [('-    "seed": 7,', 2)]

@@ -356,10 +356,10 @@ class TestRateSchedules:
         assert a == c == list(grid)
 
 
-def rates_sweep(n_grid, m_schedule, **keys):
+def rates_sweep(n_grid, m_schedule):
     """The rates table: a `u1-rates` sweep of the fair bit into itself."""
     fair = {"probs": [0.5, 0.5]}
-    payload = {"source": fair, "target": fair, "n_grid": n_grid, "m_schedule": m_schedule, **keys}
+    payload = {"source": fair, "target": fair, "n_grid": n_grid, "m_schedule": m_schedule}
     return run_sweep(parse_config(json.dumps(payload), "u1-rates"))
 
 
@@ -379,10 +379,12 @@ class TestRateAnalysis:
         assert result.rows[-1]["f_exact"] == pytest.approx(1 / math.sqrt(1.5), abs=0.01)
 
     def test_fft_cap(self):
-        result = rates_sweep([400, 1600], {"a": 0.5}, fft_cap=256)
+        result = rates_sweep([400, 10**14], {"a": 0.5})
         fits, capped = result.rows
         assert fits["error"] is None
-        assert capped["error"] == "autocorrelation transform 512 exceeds fft_cap 256 at N=1600, M=40"
+        assert capped["error"] == (
+            "autocorrelation transform 134217728 exceeds size cap 8388608 at N=100000000000000, M=10000000"
+        )
         assert exit_code_for(result.rows) == 3
         assert result.metadata["verdict"] == "indeterminate"
 

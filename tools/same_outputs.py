@@ -10,7 +10,9 @@ the fixed `wide_plan`, through ``phaseconv.cli.main``, in ``--format csv``
 and ``json`` and at ``--jobs 1`` and ``2``.  Both trees run the working
 tree's plans.  The outputs are compared byte for byte, JSON without the
 value of ``metadata.wall_time_s``, and so are the exit codes and stderr.
-Exits 1 and names the files on any difference, 0 otherwise.
+Exits 1 and names the files on any difference, 0 otherwise.  After the names
+come the distinct removed (``-``) and added (``+``) lines of those files, each
+with the number of files it is in, most frequent first.
 
 Each child runs ``same_outputs.py --write SRC OUT SEED...``, which writes the
 outputs of the package under SRC into the directory OUT.
@@ -19,7 +21,9 @@ outputs of the package under SRC into the directory OUT.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
+import difflib
 import io
 import json
 import math
@@ -34,6 +38,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 _WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]*')
 ANGLES = [math.pi, -2.0, -0.3, 1e-7, 1e-3, 0.5, 2.5]
+SHOWN_LINES = 20
 
 
 def _probs(rng, size: int) -> list[float]:
@@ -116,6 +121,27 @@ def differing_files(a: Path, b: Path) -> list[str]:
     )
 
 
+def changed_lines(a: Path, b: Path, names: list[str]) -> list[tuple[str, int]]:
+    """Each distinct line the named files lose (``-``) or gain (``+``) from ``a`` to ``b``.
+
+    Each comes with the number of files it is in, most frequent first.  Lines
+    compare as the files do, without the wall time; a file on one side only
+    loses or gains all its lines.
+    """
+    def read(path: Path) -> list[str]:
+        return _comparable(path).decode(errors="replace").splitlines() if path.exists() else []
+
+    counts = collections.Counter()
+    for name in names:
+        before, after = read(a / name), read(b / name)
+        lines = set()
+        for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, before, after, False).get_opcodes():
+            if tag != "equal":
+                lines.update(["-" + line for line in before[i1:i2]] + ["+" + line for line in after[j1:j2]])
+        counts.update(lines)
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+
+
 def _outputs_of(src: Path, out: Path, seeds: list[int]) -> None:
     args = [sys.executable, __file__, "--write", str(src), str(out), *map(str, seeds)]
     subprocess.run(args, check=True)
@@ -135,9 +161,14 @@ def main(argv=None) -> int:
         _outputs_of(tree / "src", Path(tmp) / "before", args.seeds)
         _outputs_of(ROOT / "src", Path(tmp) / "after", args.seeds)
         diffs = differing_files(Path(tmp) / "before", Path(tmp) / "after")
+        lines = changed_lines(Path(tmp) / "before", Path(tmp) / "after", diffs)
         total = sum(1 for p in (Path(tmp) / "after").iterdir() if p.suffix in (".csv", ".json"))
     for name in diffs:
         print(f"differs: {name}")
+    for line, count in lines[:SHOWN_LINES]:
+        print(f"{count} files: {line}")
+    if len(lines) > SHOWN_LINES:
+        print(f"… {len(lines) - SHOWN_LINES} more")
     print(f"{total} outputs, {len(diffs)} differing files against {args.parent}")
     return 1 if diffs else 0
 
