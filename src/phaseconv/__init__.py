@@ -6,8 +6,8 @@ Library layout:
   characteristic functions and the ln|phi|^2 kernel `log_char_sq`.
 - `u1`: misalignment posterior, pure-target fidelities, figures of merit,
   yield schedules M(N) and their convergence verdict.
-- `mixed`: typical-type-class decomposition, mixed-target lower bounds and
-  the exact mixed-target fidelity in closed form.
+- `mixed`: typical-type-class decomposition, mixed-target lower bounds, and
+  the labelled mixture's closed-form fidelity, a lower bound on the true one.
 - `zd`: exact cyclic-group protocol: the N-copy deviation law `deviation_laws`
   and the geometric convergence rate.
 - `cli`: the `phaseconv` sweep runner.

@@ -8,8 +8,8 @@ Experiments: u1-fom, u1-posterior, u1-rates, zd, mixed-bound, mixed-oracle.
 The config is a JSON object; unknown keys are rejected and validation reports
 every problem at once.  Rows that share a costly input (one M of a
 `mixed-oracle` grid, a block of a `zd` grid) form a batch that builds it once.
-Failures land in an ``error`` column instead of aborting the run; a failed
-batch runs again row by row.  A row one of whose `Experiment.sizes` exceeds
+Failures land in an ``error`` column instead of aborting the run; every row
+of a failed batch gets its error.  A row one of whose `Experiment.sizes` exceeds
 `SIZE_CAP` is refused before it runs, and their sum is its estimated work.  A
 sweep whose work reaches `POOL_POINTS` runs in at most ``--jobs`` workers, one
 per CPU at most, others in-process; the output depends on neither.
@@ -67,7 +67,7 @@ DEFAULT_MC_DRAWS = 4096
 # Guard against rows whose arrays (`Experiment.sizes`) would not fit a sane FFT
 SIZE_CAP = 1 << 23
 _METHODS = ("exact", "closed", "mc")
-_RATES_METHODS = ("exact", "closed")  # the legs of a u1-rates row, which has no `methods` key
+_RATES_METHODS = ("exact", "closed")
 
 # default of a config key that must be given
 _REQUIRED = object()
@@ -140,6 +140,18 @@ def _check(accept, expected: str, convert=None):
             return _fail(problems, f"{f}: expected {expected}")
         return value if convert is None else convert(value)
     return check
+
+
+def _mc_only(accept, expected: str):
+    """`_check` for a key that only the Monte Carlo leg reads: refused unless ``methods`` has mc."""
+    check = _check(accept, expected)
+    def mc_check(problems: list, f: str, value, values: dict):
+        if values["methods"] is None:  # invalid: its own problem is the one reported
+            return None
+        if "mc" not in values["methods"]:
+            return _fail(problems, f"{f}: read only by the Monte Carlo leg; add 'mc' to methods")
+        return check(problems, f, value)
+    return mc_check
 
 
 def _total(values) -> float:
@@ -263,12 +275,11 @@ def _n_m_keys(config: SweepConfig) -> list[dict]:
     return [{"N": n, "M": m} for n, m in zip(config.n_grid, config.m_schedule[1])]
 
 
-def _fom_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], ...]:
-    """Source and target power support bounds, and the transforms and terms of each leg run."""
+def _fom_sizes(config: SweepConfig, row: dict, methods: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
+    """Source and target power support bounds, and the transforms and terms of each leg in ``methods``."""
     source = power_support_bound(config.source.spectrum, row["N"])
     target = power_support_bound(config.target.spectrum, row["M"])
     sizes = (("support estimate", source), ("support estimate", target))
-    methods = getattr(config, "methods", _RATES_METHODS)
     if "exact" in methods:  # the larger transform: the longer power's, over the shorter's lags
         longer, lags = max(source, target), min(source, target)
         sizes += (("autocorrelation transform", autocorrelation_size(longer, lags)),)
@@ -285,8 +296,7 @@ def _posterior_sizes(config: SweepConfig, row: dict) -> tuple[tuple[str, int], .
     return (("support estimate", support), ("posterior grid", grid))
 
 
-def _fom_rows(config: SweepConfig, rows: list[dict]) -> None:
-    methods = getattr(config, "methods", _RATES_METHODS)
+def _fom_rows(config: SweepConfig, rows: list[dict], methods: tuple[str, ...]) -> None:
     source, target = config.source, config.target
     for row in rows:
         n, m = row["N"], row["M"]
@@ -378,7 +388,8 @@ class Experiment:
     ``keys`` holds (key, check, default) in validation order, with
     `_REQUIRED` for a mandatory key.  A check takes (problems, key, value,
     values validated so far), appends one message per problem and returns
-    the validated value, or None on failure.  ``row_keys`` gives each row's
+    the validated value, or None on failure.  ``header`` gives the columns
+    of a validated config's rows, before ``error``.  ``row_keys`` gives each row's
     key columns in grid order, and ``row`` fills in up to ``batch`` consecutive
     rows a call, through this module's globals so that the library can be
     traced or patched here.  ``metadata`` gives the experiment's own JSON metadata.
@@ -389,7 +400,7 @@ class Experiment:
     """
 
     keys: tuple[tuple[str, Callable, object], ...]
-    header: tuple[str, ...]
+    header: Callable[[SweepConfig], tuple[str, ...]]
     row_keys: Callable[[SweepConfig], list[dict]]
     row: Callable[[SweepConfig, list[dict]], None]
     metadata: Callable[[SweepConfig, list[dict]], dict] = lambda config, rows: {}
@@ -418,16 +429,17 @@ EXPERIMENTS = {
                 "a nonempty subset of ['exact', 'closed', 'mc']",
                 lambda v: tuple(m for m in _METHODS if m in v),
             ), ("exact", "closed")),
-            ("mc_draws", _check(lambda v: _is_int(v) and v >= 100, "an integer >= 100"),
-             DEFAULT_MC_DRAWS),
-            ("seed", _check(lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)"), 0),
+            ("mc_draws", _mc_only(lambda v: _is_int(v) and v >= 100, "an integer >= 100"), DEFAULT_MC_DRAWS),
+            ("seed", _mc_only(lambda v: _is_int(v) and 0 <= v < 2**64, "an integer in [0, 2^64)"), 0),
         ),
-        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_rows, sizes=_fom_sizes,
+        header=lambda config: _FOM_HEADER + (("f_mc", "f_mc_stderr") if "mc" in config.methods else ()),
+        row_keys=_n_m_keys, row=lambda config, rows: _fom_rows(config, rows, config.methods),
+        sizes=lambda config, row: _fom_sizes(config, row, config.methods),
         metadata=lambda config, rows: {"seed": config.seed},
     ),
     "u1-posterior": Experiment(
         keys=(_SOURCE, _N_GRID, ("grid_points", _GRID_POINTS, 8192)),
-        header=("N", "tv_exact_gauss"),
+        header=lambda config: ("N", "tv_exact_gauss"),
         row_keys=lambda config: [{"N": n} for n in config.n_grid],
         row=_posterior_rows, metadata=_posterior_metadata, sizes=_posterior_sizes,
     ),
@@ -437,12 +449,13 @@ EXPERIMENTS = {
             ("threshold", _check(lambda v: _is_num(v) and 0 < v < 1, "a number in (0, 1)", float),
              CONVERGENCE_THRESHOLD),
         ),
-        header=_FOM_HEADER, row_keys=_n_m_keys, row=_fom_rows, metadata=_rates_metadata,
-        sizes=_fom_sizes,
+        header=lambda config: _FOM_HEADER, row_keys=_n_m_keys,
+        row=partial(_fom_rows, methods=_RATES_METHODS), metadata=_rates_metadata,
+        sizes=partial(_fom_sizes, methods=_RATES_METHODS),
     ),
     "zd": Experiment(
         keys=(("probs", _take_cyclic, _REQUIRED), _N_GRID),
-        header=("d", "N", "success_prob", "epsilon"),
+        header=lambda config: ("d", "N", "success_prob", "epsilon"),
         row_keys=lambda config: [{"d": config.probs.d, "N": n} for n in config.n_grid],
         row=_zd_rows, metadata=_zd_metadata, batch=lambda config: block_rows(config.probs),
         # no sizes, so no work: a grid of under 2^20 / d points is one batch, which no pool splits
@@ -453,7 +466,7 @@ EXPERIMENTS = {
             _SOURCE, _MIXTURE, _N_GRID, _M_SCHEDULE, ("epsilon", _EPSILON, None),
             ("bound_method", _BOUND_METHOD, "gauss"), ("grid_points", _GRID_POINTS, None),
         ),
-        header=("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
+        header=lambda config: ("N", "M", "f_bound", "delta_rho", "epsilon", "n_classes"),
         row_keys=_n_m_keys, row=_bound_rows, sizes=_posterior_sizes,
         metadata=lambda config, rows: {"bound_method": config.bound_method},
     ),
@@ -469,7 +482,7 @@ EXPERIMENTS = {
             ("epsilon", _EPSILON, 2.0),
             ("bound_method", _BOUND_METHOD, "exact"),
         ),
-        header=("M", "gamma", "f_exact", "f_bound"),
+        header=lambda config: ("M", "gamma", "f_exact", "f_bound"),
         row_keys=lambda config: [
             {"M": m, "gamma": g} for m in config.m_grid for g in config.gamma_grid
         ],
@@ -509,16 +522,6 @@ def parse_config(text: str, experiment: str) -> SweepConfig:
     return SweepConfig(experiment=experiment, **values)
 
 
-def result_header(experiment: str, methods: tuple[str, ...] = ()) -> tuple[str, ...]:
-    """Fixed, documented column order for each experiment."""
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
-    cols = EXPERIMENTS[experiment].header
-    if experiment == "u1-fom" and "mc" in methods:
-        cols += ("f_mc", "f_mc_stderr")
-    return cols + ("error",)
-
-
 def _preflight(config: SweepConfig, row: dict) -> int:
     """A row's estimated work, the sum of its experiment's `sizes`.
 
@@ -535,8 +538,8 @@ def _preflight(config: SweepConfig, row: dict) -> int:
     return sum(size for _, size in sizes)
 
 
-def _attempt(row: dict, step: Callable, *args) -> bool:
-    """Call ``step(*args)``; a failure lands in ``row``'s error cell instead of raising."""
+def _attempt(rows: list[dict], step: Callable, *args) -> bool:
+    """Call ``step(*args)``; a failure lands in each of ``rows``' error cells instead of raising."""
     try:
         step(*args)
         return True
@@ -546,7 +549,8 @@ def _attempt(row: dict, step: Callable, *args) -> bool:
         PhaseconvError, ValueError, OverflowError, FloatingPointError, RuntimeError, MemoryError
     ) as exc:
         # a bare MemoryError has no message; an empty cell would read as success
-        row.update(error=str(exc) or type(exc).__name__, _cap=isinstance(exc, ResourceCapError))
+        for row in rows:
+            row.update(error=str(exc) or type(exc).__name__, _cap=isinstance(exc, ResourceCapError))
         return False
 
 
@@ -554,16 +558,13 @@ def _compute_rows(config: SweepConfig, keys: list[dict]) -> list[dict]:
     """Fill in one batch of sweep rows; failures are captured, never raised.
 
     A row `_preflight` refuses fails alone, having allocated nothing, and the
-    rest run as one call.  If that call fails they run again one row a call: a
-    failed row keeps its key columns and the values computed before the failure.
+    rest run as one call, once.  If that call fails, each of its rows gets the
+    call's error and keeps its key columns and the values written before the failure.
     """
     rows = [{**key, "error": None} for key in keys]
-    ready = [i for i, key in enumerate(keys) if _attempt(rows[i], _preflight, config, key)]
-    run, batch = EXPERIMENTS[config.experiment].row, [rows[i] for i in ready]
-    if batch and not _attempt(batch[0], run, config, batch) and len(batch) > 1:
-        for i in ready:
-            rows[i] = {**keys[i], "error": None}
-            _attempt(rows[i], run, config, [rows[i]])
+    ready = [row for row, key in zip(rows, keys) if _attempt([row], _preflight, config, key)]
+    if ready:
+        _attempt(ready, EXPERIMENTS[config.experiment].row, config, ready)
     return rows
 
 
@@ -597,7 +598,7 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepResult:
             rows = [row for batch in done for row in batch]
     else:
         rows = [row for batch in batches for row in _compute_rows(config, batch)]
-    header = result_header(config.experiment, getattr(config, "methods", ()))
+    header = experiment.header(config) + ("error",)
     result = SweepResult(config.experiment, header, rows, experiment.metadata(config, rows))
     result.metadata.update(
         {

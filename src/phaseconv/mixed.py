@@ -14,9 +14,9 @@ fidelity, which is false, and the gauss floor can exceed the exact fidelity.
 The kept set is enumerated one integer interval per count, so ``class_cap``
 sees its exact size.  The exact floor's log fidelity is linear in the counts,
 so it reads only the intervals' ends, in one pass over them in log space.
-The exact mixed fidelity the bound is checked against is a closed form in the
-component fidelities; the tests check it against the Uhlmann fidelity of a
-dense embedding.
+The bound is checked against a closed form in the component fidelities: the
+fidelity of the mixture with a component-label register attached, a lower
+bound on the unlabelled fidelity that equals it for disjoint supports.
 """
 
 from __future__ import annotations
@@ -261,19 +261,19 @@ def figure_of_merit_mixed_bound(
 
 
 def exact_mixed_fidelity_small(target: MixedTarget, m_copies: int, gamma: float) -> float:
-    """Exact F(tau^(x M), tau_gamma^(x M)) of the mixture tau and its phase-shifted copy.
+    """M-copy fidelity of the mixture tau and its phase-shifted copy, components labelled.
 
-    Each component carries a multiplicity register: component k lives on the
-    basis states |n, k>, so distinct components are orthogonal while the phase
+    Each component carries a label register: component k lives on the basis
+    states |n, k>, so distinct components are orthogonal while the phase
     action stays diagonal with angle n * gamma.  Both operators are then block
     diagonal over the registers, with rank-one blocks t_k |psi_k><psi_k|.  Root
     fidelity adds over such blocks and multiplies over copies, so
 
         F = (sum_k t_k |phi_k(gamma)|)^(2M),
 
-    with every component's ln|phi_k|^2 from one `log_char_sq` call.  No matrix
-    is built; the tests check this identity against the Uhlmann fidelity of the
-    dense embedding.
+    with every component's ln|phi_k|^2 from one `log_char_sq` call.  Tracing out
+    the register cannot lower a fidelity, so F <= F(tau^(x M), tau_gamma^(x M)),
+    with equality where the components' supports are disjoint.  No matrix is built.
     """
     if m_copies < 1:
         raise ValueError(f"m_copies must be >= 1, got {m_copies}")

@@ -94,7 +94,6 @@ class SlopeFit:
     slope: float
     intercept: float
     slope_theory: float
-    n_grid: tuple[int, ...]
 
 
 def success_slope_fit(source: CyclicCoeffs, n_grid) -> SlopeFit:
@@ -119,4 +118,4 @@ def slope_fit(n_grid, wrong, epsilon: float) -> SlopeFit:
         raise ValueError("wrong-outcome mass vanished on the grid; nothing to fit")
     slope, intercept = np.polyfit(np.array(n_grid, dtype=np.float64), np.log(wrong), 1)
     theory = 2.0 * math.log(epsilon) if epsilon > 0 else -math.inf
-    return SlopeFit(float(slope), float(intercept), theory, tuple(n_grid))
+    return SlopeFit(float(slope), float(intercept), theory)

@@ -255,22 +255,26 @@ def uhlmann_fidelity(rho, sigma) -> float:
     return float(np.sqrt(eigs).sum() ** 2)
 
 
-def embedded_density(target: MixedTarget, gamma: float = 0.0) -> np.ndarray:
+def embedded_density(target: MixedTarget, gamma: float = 0.0, labelled: bool = True) -> np.ndarray:
     """Oracle: dense single-copy density matrix of the (phase-shifted) mixture.
 
-    Components may share number support, so each carries a multiplicity
-    register: component k lives on flat indices n * R + k, making distinct
-    components orthogonal by construction while the phase action stays
-    diagonal with angle n * gamma.  The matrix has (n_max + 1) * R rows.
+    With ``labelled``, each component carries a label register: component k
+    lives on flat indices n * R + k, making distinct components orthogonal by
+    construction while the phase action stays diagonal with angle n * gamma.
+    That is sum_k t_k |psi_k><psi_k| (x) |k><k|, whose fidelity is what
+    `exact_mixed_fidelity_small` computes: the mixture's own where the
+    components' supports are disjoint, and below it otherwise.  Without
+    ``labelled`` it is the mixture itself on the number basis.  The matrix
+    has (n_max + 1) * R rows labelled, n_max + 1 without.
     """
-    r = target.rank
+    r = target.rank if labelled else 1
     dim = (max(c.spectrum.offset + c.spectrum.span for c in target.components) + 1) * r
     rho = np.zeros((dim, dim), dtype=np.complex128)
     for k, (comp, w) in enumerate(zip(target.components, target.weights)):
         spec = comp.spectrum
         numbers = spec.offset + np.arange(len(spec))
         shifted = np.zeros(dim, dtype=np.complex128)
-        shifted[numbers * r + k] = np.sqrt(spec.probs) * np.exp(1j * numbers * gamma)
+        shifted[numbers * r + (k if labelled else 0)] = np.sqrt(spec.probs) * np.exp(1j * numbers * gamma)
         rho += w * np.outer(shifted, shifted.conj())
     return rho
 
@@ -339,15 +343,17 @@ def class_number_distribution(target: MixedTarget, counts) -> IntDistribution:
     return reduce(convolve, parts)
 
 
-def kron_mixed_fidelity(target: MixedTarget, m: int, gamma: float) -> float:
-    """Oracle: F(tau^(x M), tau_gamma^(x M)) from Kronecker powers of the dense embedding.
+def kron_mixed_fidelity(target: MixedTarget, m: int, gamma: float, labelled: bool = True) -> float:
+    """Oracle: M-copy fidelity from Kronecker powers of `embedded_density`.
 
-    The library uses the closed form (sum_k t_k |phi_k(gamma)|)^(2M); this
-    builds both M-copy operators, of dimension (single-copy dim)^M, and takes
-    their Uhlmann fidelity, so it only suits M = 2, 3 on small targets.
+    Labelled, it checks the library's closed form (sum_k t_k |phi_k(gamma)|)^(2M),
+    the fidelity of the labelled mixture; without ``labelled`` it is the true
+    F(tau^(x M), tau_gamma^(x M)).  It builds both M-copy operators, of
+    dimension (single-copy dim)^M, and takes their Uhlmann fidelity, so it
+    only suits M = 2, 3 on small targets.
     """
-    rho = reduce(np.kron, [embedded_density(target, 0.0)] * m)
-    shifted = reduce(np.kron, [embedded_density(target, gamma)] * m)
+    rho = reduce(np.kron, [embedded_density(target, 0.0, labelled)] * m)
+    shifted = reduce(np.kron, [embedded_density(target, gamma, labelled)] * m)
     return uhlmann_fidelity(rho, shifted)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_cli_table import MINIMAL
 
 from phaseconv import ConfigValidationError, cli, u1
 from phaseconv.cli import (
@@ -17,7 +18,6 @@ from phaseconv.cli import (
     exit_code_for,
     main,
     parse_config,
-    result_header,
     run_sweep,
 )
 from phaseconv.distributions import power_support_bound
@@ -27,10 +27,12 @@ FOM_CONFIG = {
     "target": {"probs": [0.5, 0.5], "offset": 0},
     "n_grid": [50, 100, 200],
     "m_schedule": {"a": 0.5},
-    "seed": 11,
 }
-# u1-rates takes FOM_CONFIG's keys but the seed, which only u1-fom's Monte Carlo leg reads
-RATES_CONFIG = {key: value for key, value in FOM_CONFIG.items() if key != "seed"}
+# u1-rates takes FOM_CONFIG's keys; its legs are fixed, so it has no `methods`
+RATES_CONFIG = dict(FOM_CONFIG)
+# FOM_CONFIG with the Monte Carlo leg, the one that reads `seed` and `mc_draws`
+MC_CONFIG = {**FOM_CONFIG, "methods": ["exact", "closed", "mc"], "seed": 11}
+FOM_HEADER = ("N", "M", "f_exact", "f_closed", "gap", "error")
 # N = 10^14 needs a 2^27-point autocorrelation transform for any M, above the 2^23 size cap
 HUGE_N = 10**14
 
@@ -80,7 +82,8 @@ class TestParseConfig:
         config = cfg("u1-fom", FOM_CONFIG)
         assert config.methods == ("exact", "closed")
         assert config.mc_draws == 4096
-        assert config.seed == 11
+        assert config.seed == 0
+        assert cfg("u1-fom", MC_CONFIG).seed == 11
         assert config.m_schedule == ("M=ceil(N^0.5)", (8, 10, 15))
 
     def test_schedule_resolves_copy_counts(self):
@@ -136,9 +139,9 @@ class TestParseConfig:
 
     def test_seed_range(self):
         with pytest.raises(ConfigValidationError):
-            cfg("u1-fom", {**FOM_CONFIG, "seed": -1})
+            cfg("u1-fom", {**MC_CONFIG, "seed": -1})
         with pytest.raises(ConfigValidationError):
-            cfg("u1-fom", {**FOM_CONFIG, "seed": 2**64})
+            cfg("u1-fom", {**MC_CONFIG, "seed": 2**64})
 
     def test_mixed_weights_validated(self):
         bad = dict(MIXED_TARGET, weights=[0.5, 0.6])
@@ -155,21 +158,22 @@ class TestParseConfig:
 
 class TestHeaders:
     def test_fom_header_contract(self):
-        head = result_header("u1-fom")
-        assert head[:5] == ("N", "M", "f_exact", "f_closed", "gap")
-        assert head[-1] == "error"
+        assert run_sweep(cfg("u1-fom", FOM_CONFIG)).header == FOM_HEADER
 
     def test_mc_columns_opt_in(self):
-        head = result_header("u1-fom", methods=("exact", "closed", "mc"))
-        assert "f_mc" in head and "f_mc_stderr" in head
+        head = cli.EXPERIMENTS["u1-fom"].header(cfg("u1-fom", MC_CONFIG))
+        assert head == FOM_HEADER[:-1] + ("f_mc", "f_mc_stderr")
+        assert cli.EXPERIMENTS["u1-rates"].header(cfg("u1-rates", RATES_CONFIG)) == FOM_HEADER[:-1]
 
     def test_all_experiments_have_error_column(self):
-        for exp in ("u1-fom", "u1-posterior", "u1-rates", "zd", "mixed-bound", "mixed-oracle"):
-            assert result_header(exp)[-1] == "error"
+        for exp, payload in MINIMAL.items():  # one config per experiment
+            assert run_sweep(cfg(exp, payload)).header[-1] == "error"
 
     def test_unknown_experiment(self):
-        with pytest.raises(ValueError, match="^unknown experiment 'u1-nope'$"):
-            result_header("u1-nope")
+        # a header comes from the experiment's table entry, so an unknown name has none
+        with pytest.raises(ConfigValidationError) as info:
+            parse_config(json.dumps(FOM_CONFIG), "u1-nope")
+        assert info.value.problems == ["experiment: unknown kind 'u1-nope'"]
 
 
 class TestRunSweep:
@@ -273,19 +277,19 @@ class TestRunSweep:
             assert row["gap"] == pytest.approx(row["f_exact"] - row["f_closed"], abs=1e-15)
 
     def test_deterministic_bytes(self):
-        payload = {**FOM_CONFIG, "methods": ["exact", "closed", "mc"], "mc_draws": 500}
+        payload = {**MC_CONFIG, "mc_draws": 500}
         first = emit(run_sweep(cfg("u1-fom", payload)))
         second = emit(run_sweep(cfg("u1-fom", payload)))
         assert first == second
 
     def test_parallel_matches_serial(self):
-        payload = {**FOM_CONFIG, "methods": ["exact", "closed", "mc"], "mc_draws": 500}
+        payload = {**MC_CONFIG, "mc_draws": 500}
         serial = run_sweep(cfg("u1-fom", payload), jobs=1)
         parallel = run_sweep(cfg("u1-fom", payload), jobs=4)
         assert emit(serial) == emit(parallel)
 
     def test_seed_moves_mc_only(self):
-        payload = {**FOM_CONFIG, "methods": ["exact", "closed", "mc"], "mc_draws": 500}
+        payload = {**MC_CONFIG, "mc_draws": 500}
         rows_a = run_sweep(cfg("u1-fom", payload)).rows
         rows_b = run_sweep(cfg("u1-fom", {**payload, "seed": 12})).rows
         assert [r["f_exact"] for r in rows_a] == [r["f_exact"] for r in rows_b]
@@ -372,12 +376,12 @@ class TestEmit:
         assert cell == format(result.rows[0]["f_exact"], ".12g")
 
     def test_header_only_when_no_rows(self):
-        empty = SweepResult("u1-fom", result_header("u1-fom"), [])
+        empty = SweepResult("u1-fom", FOM_HEADER, [])
         assert emit(empty) == "N,M,f_exact,f_closed,gap,error\n"
         assert exit_code_for([]) == 0
 
     def test_json_roundtrip(self):
-        result = run_sweep(cfg("u1-fom", FOM_CONFIG))
+        result = run_sweep(cfg("u1-fom", MC_CONFIG))
         doc = json.loads(emit(result, "json"))
         assert doc["experiment"] == "u1-fom"
         assert doc["metadata"]["schema_version"] == 1
@@ -388,7 +392,7 @@ class TestEmit:
             assert not any(k.startswith("_") for k in row)
 
     def test_unknown_format(self):
-        result = SweepResult("u1-fom", result_header("u1-fom"), [])
+        result = SweepResult("u1-fom", FOM_HEADER, [])
         with pytest.raises(ValueError):
             emit(result, "yaml")
 
@@ -461,8 +465,8 @@ class TestMain:
             assert row["error"] == "" and float(row["f_bound"]) <= float(row["f_exact"]) + 1e-10
 
     def test_oracle_row_beyond_class_cap_keeps_f_exact(self, tmp_path):
-        # the class-count estimate refuses the bound before any class is enumerated; the
-        # refused M's batch runs again row by row, and the M = 2 batch is untouched
+        # the class-count estimate refuses the bound before any class is enumerated; every
+        # row of the refused M's batch gets the refusal, and the M = 2 batch is untouched
         payload = {"target": MIXED_TARGET, "m_grid": [2, 2_000_000], "gamma_grid": [0.001, -0.3]}
         out = tmp_path / "rows.csv"
         args = ["mixed-oracle", "--config", self.write(tmp_path, payload), "--out", str(out)]

@@ -151,15 +151,47 @@ def test_every_optional_key_moves_an_output(experiment, key):
     assert outputs[0] != outputs[1]
 
 
+def _main_on(tmp_path, experiment, payload):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return cli.main([experiment, "--config", str(path)])
+
+
 @pytest.mark.parametrize(
     "experiment, key",
     [("u1-fom", "fft_cap"), ("u1-rates", "fft_cap"), ("mixed-bound", "class_cap"),
      *((experiment, "seed") for experiment in cli.EXPERIMENTS if experiment != "u1-fom")],
 )
 def test_no_key_lifts_a_cap_and_only_u1_fom_takes_a_seed(tmp_path, capsys, experiment, key):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**MINIMAL[experiment], key: 10**12}))
-    assert cli.main([experiment, "--config", str(path)]) == 1
+    assert _main_on(tmp_path, experiment, {**MINIMAL[experiment], key: 10**12}) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {key}: unknown key for experiment '{experiment}'\n"
+
+
+@pytest.mark.parametrize("methods", [{}, {"methods": ["exact", "closed"]}], ids=["default", "exact-closed"])
+# both: one line per key, in validation order
+@pytest.mark.parametrize("keys", [{"seed": 1}, {"mc_draws": 200}, {"mc_draws": 200, "seed": 1}],
+                         ids=["seed", "mc_draws", "both"])
+def test_monte_carlo_keys_need_mc(tmp_path, capsys, methods, keys):
+    assert _main_on(tmp_path, "u1-fom", {**MINIMAL["u1-fom"], **methods, **keys}) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(
+        f"config error: {key}: read only by the Monte Carlo leg; add 'mc' to methods\n" for key in keys
+    )
+
+
+def test_invalid_methods_is_the_one_problem_of_the_monte_carlo_keys(tmp_path, capsys):
+    payload = {**MINIMAL["u1-fom"], "methods": ["exact", "nope"], "seed": 1, "mc_draws": 200}
+    assert _main_on(tmp_path, "u1-fom", payload) == 1
+    assert capsys.readouterr().err == (
+        "config error: methods: expected a nonempty subset of ['exact', 'closed', 'mc']\n"
+    )
+
+
+def test_monte_carlo_keys_run_with_mc(tmp_path, capsys):
+    assert _main_on(tmp_path, "u1-fom", {**MC, "seed": 1, "mc_draws": 200}) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "N,M,f_exact,f_closed,gap,f_mc,f_mc_stderr,error"
+    assert captured.err == ""

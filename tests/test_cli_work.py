@@ -1,8 +1,8 @@
 """The CLI does each piece of a sweep's work once: one N-copy source power per
 `u1-fom` row, one moments pass per state, one typical decomposition per M of a
-`mixed-oracle` grid, one outcome-law call per block of a `zd` grid, and each
-batch of rows handed to a worker pool once.  A batch's rows equal what each
-row computes alone, bit for bit."""
+`mixed-oracle` grid, even when it fails, one outcome-law call per block of a
+`zd` grid, and each batch of rows handed to a worker pool once.  A batch's
+rows equal what each row computes alone, bit for bit."""
 import json
 import math
 
@@ -68,6 +68,22 @@ def test_oracle_builds_one_decomposition_per_m(monkeypatch):
     result = run_sweep(parse_config(json.dumps(payload), "mixed-oracle"))
     assert cli.exit_code_for(result.rows) == 0 and len(result.rows) == 12
     assert calls == [2, 64, 1024]
+
+
+def test_a_failed_oracle_batch_runs_once(monkeypatch):
+    # 2,000,001 rank-2 classes exceed the cap: the batch's one call fails after every
+    # row's f_exact, and each row gets its refusal without running alone
+    calls = counting(monkeypatch, cli, "typical_decomposition", key=lambda target, m, eps: m)
+    payload = {"target": {"components": [FAIR, SKEWED], "weights": [0.4, 0.6]},
+               "m_grid": [2_000_000], "gamma_grid": [math.pi, -0.5, 0.1]}
+    config = parse_config(json.dumps(payload), "mixed-oracle")
+    rows = run_sweep(config).rows
+    assert calls == [2_000_000]
+    assert cli.exit_code_for(rows) == 3
+    for row in rows:
+        assert row["f_exact"] == exact_mixed_fidelity_small(config.target, 2_000_000, row["gamma"])
+        assert "f_bound" not in row
+        assert row["error"] == "about 2000001 type classes at M=2000000, rank 2; cap is 1000000"
 
 
 def test_zd_takes_its_laws_once_per_block_and_none_in_the_metadata(monkeypatch):

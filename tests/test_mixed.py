@@ -496,6 +496,24 @@ class TestExactEmbedding:
                     worst = max(worst, abs(exact_mixed_fidelity_small(target, m, gamma) - oracle))
         assert worst <= 1e-10
 
+    def test_closed_form_bounds_the_unlabelled_fidelity(self):
+        # supports {1, 2, 3} and {0, 1} overlap: dropping the label register raises
+        # the fidelity above the closed form at every M
+        first = NumberState(IntDistribution(1, np.array([0.3483, 0.5224, 0.1292]) / 0.9999))
+        second = NumberState(IntDistribution(0, np.array([0.8846, 0.1154])))
+        target, gamma = MixedTarget((first, second), (0.0524, 0.9476)), 2.0408
+        for m, closed, true in ((1, 0.662200, 0.662644), (2, 0.438508, 0.439097), (3, 0.290380, 0.290964)):
+            assert exact_mixed_fidelity_small(target, m, gamma) == pytest.approx(closed, abs=5e-7)
+            assert kron_mixed_fidelity(target, m, gamma, labelled=False) == pytest.approx(true, abs=5e-7)
+        # supports {0, 1} and {2, 3, 4} are disjoint: the label is a function of n, and the two agree
+        skewed = NumberState(IntDistribution(2, np.array([0.2, 0.5, 0.3])))
+        disjoint = MixedTarget((FAIR0, skewed), (0.3, 0.7))
+        for m in (1, 2, 3):
+            for gamma in (0.3, 2.0408, -math.pi):
+                assert kron_mixed_fidelity(disjoint, m, gamma, labelled=False) == pytest.approx(
+                    exact_mixed_fidelity_small(disjoint, m, gamma), abs=1e-10
+                )
+
     def test_rank_one_is_the_pure_fidelity(self):
         # oracle: fidelity_pure_exact's |phi|^(2M) on the single component
         rng = np.random.default_rng(405)

@@ -101,7 +101,12 @@ def test_write_mode_runs_the_wide_plan(tmp_path, tool, monkeypatch):
 
 
 def test_the_wide_plan_is_wider_than_the_benchmark(tool):
-    zd, *oracles = tool.wide_plan()
+    plan = tool.wide_plan()
+    foms = [sweep["config"] for sweep in plan if sweep["experiment"] == "u1-fom"]
+    # every u1-fom leg alone, the Monte Carlo one with a seed, and closed with mc
+    assert [config["methods"] for config in foms] == [["exact"], ["closed"], ["mc"], ["closed", "mc"]]
+    assert [config.get("seed") for config in foms] == [None, None, 1801, None]
+    zd, *oracles = [sweep for sweep in plan if sweep["experiment"] != "u1-fom"]
     assert len(zd["config"]["probs"]) == 64
     assert len(zd["config"]["n_grid"]) >= 90 and {10**20, 10**400} <= set(zd["config"]["n_grid"])
     classes = []

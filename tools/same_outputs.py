@@ -46,9 +46,12 @@ def _probs(rng, size: int) -> list[float]:
     return (probs / probs.sum()).tolist()
 
 
+def _spectrum(rng, size: int) -> dict:
+    return {"probs": _probs(rng, size), "offset": int(rng.integers(0, 40))}
+
+
 def _mixture(rng, sizes: list[int]) -> dict:
-    components = [{"probs": _probs(rng, size), "offset": int(rng.integers(0, 40))} for size in sizes]
-    return {"components": components, "weights": _probs(rng, len(sizes))}
+    return {"components": [_spectrum(rng, size) for size in sizes], "weights": _probs(rng, len(sizes))}
 
 
 def wide_plan() -> list[dict]:
@@ -59,13 +62,18 @@ def wide_plan() -> list[dict]:
     M <= 3) may hide: a zd grid at d = 64 over 99 N up to 10^20 and one
     10^400 row, which fails, and mixed-oracle targets of rank 4 and 3 with
     15-25-entry components at M up to 64 and 1024, 7 angles each; the rank-3
-    grid ends at an M whose 2,100,225 classes exceed the class cap.
+    grid ends at an M whose 2,100,225 classes exceed the class cap.  The
+    u1-fom sweeps run the legs no benchmark plan runs alone: ``exact``,
+    ``closed``, ``mc`` with a seed and ``closed`` with ``mc``, from a 5-entry
+    source to a 3-entry target at N up to 3 * 10^8, where every sweep but
+    ``closed`` reaches the pool budget, and at N = 10^14, which every leg
+    refuses.  Their inputs are drawn after the others', which stay as they were.
     """
     rng = np.random.default_rng(25)
     n_grid = sorted({int(10**x) for x in np.linspace(0.0, 20.0, 100)}) + [10**400]
     rank3 = {"target": _mixture(rng, [25, 15, 20]), "m_grid": [1, 2, 64, 1024, 2048],
              "gamma_grid": ANGLES}
-    return [
+    plan = [
         {"name": "zd-d64", "experiment": "zd", "config": {"probs": _probs(rng, 64), "n_grid": n_grid}},
         {"name": "oracle-rank4", "experiment": "mixed-oracle",
          "config": {"target": _mixture(rng, [15, 25, 18, 22]), "m_grid": [1, 2, 8, 64],
@@ -74,6 +82,11 @@ def wide_plan() -> list[dict]:
         {"name": "oracle-rank3-gauss", "experiment": "mixed-oracle",
          "config": {**rank3, "bound_method": "gauss"}},
     ]
+    fom = {"source": _spectrum(rng, 5), "target": _spectrum(rng, 3),
+           "n_grid": [1, 7, 100, 3000, 10**5, 10**8, 3 * 10**8, 10**14], "m_schedule": {"a": 0.5}}
+    legs = {"exact": {}, "closed": {}, "mc": {"seed": 1801}, "closed-mc": {}}  # seed: mc's own key
+    return plan + [{"name": f"fom-{name}", "experiment": "u1-fom",
+                    "config": {**fom, "methods": name.split("-"), **extra}} for name, extra in legs.items()]
 
 
 def write_outputs(src: Path, out: Path, seeds: list[int]) -> None:
